@@ -15,9 +15,9 @@ files.  Each bulk case records ``speedup_vs_sync`` against the sync
 case at the same n; the acceptance target for the committed baseline is
 >= 10x on flooding at n = 65536.
 
-Results land in ``BENCH_bulk.json`` (repo root); the committed copy is
-the baseline ``scripts/check_bench_baseline.py --profile bulk`` guards
-against >30% regressions.  Run as a script:
+Results land in ``BENCH_bulk.json`` (repo root); ``repro perf check``
+gates a run against the ``bulk`` profile of ``PERF_LEDGER.jsonl``
+(>30% regressions fail).  Run as a script:
 
     PYTHONPATH=src python benchmarks/bench_bulk_engine.py
     PYTHONPATH=src python benchmarks/bench_bulk_engine.py --check

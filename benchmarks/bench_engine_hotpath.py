@@ -19,9 +19,9 @@ deliveries) for the async engine, and deliveries + wakes for the sync
 engine (whose ``events_processed`` counts rounds, not per-message
 work).
 
-Results land in ``BENCH_engine.json`` (repo root) — the committed copy
-is the baseline that ``scripts/check_bench_baseline.py`` guards against
->30% regressions.  Run as a script:
+Results land in ``BENCH_engine.json`` (repo root); ``repro perf
+check`` gates a run against the ``engine`` profile of
+``PERF_LEDGER.jsonl`` (>30% regressions fail).  Run as a script:
 
     PYTHONPATH=src python benchmarks/bench_engine_hotpath.py
     PYTHONPATH=src python benchmarks/bench_engine_hotpath.py --check
@@ -60,8 +60,8 @@ CASES = (
 DEFAULT_SIZES = (512, 2048)
 AVG_DEGREE = 8.0
 
-#: Every per-case record carries exactly these fields; the baseline
-#: checker (scripts/check_bench_baseline.py) refuses files without them.
+#: Every per-case record carries exactly these fields; ``repro perf
+#: check`` refuses files without them.
 CASE_FIELDS = (
     "algorithm",
     "engine",

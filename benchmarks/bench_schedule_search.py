@@ -11,9 +11,9 @@ exercises:
 * ``worstcase`` — greedy + beam search on the Theorem-1 class-G
   topology (each beam evaluation is one controlled run).
 
-Results land in ``BENCH_check.json`` (repo root); the committed copy is
-the baseline that ``scripts/check_bench_baseline.py --profile check``
-guards against >30% regressions.  Run as a script:
+Results land in ``BENCH_check.json`` (repo root); ``repro perf check``
+gates a run against the ``check`` profile of ``PERF_LEDGER.jsonl``
+(>30% regressions fail).  Run as a script:
 
     PYTHONPATH=src python benchmarks/bench_schedule_search.py
     PYTHONPATH=src python benchmarks/bench_schedule_search.py --check
@@ -52,8 +52,8 @@ CASES = (
     ("worstcase", "flooding", "class-g", 8),
 )
 
-#: Every per-case record carries exactly these fields; the baseline
-#: checker (scripts/check_bench_baseline.py) refuses files without them.
+#: Every per-case record carries exactly these fields; ``repro perf
+#: check`` refuses files without them.
 CASE_FIELDS = (
     "mode",
     "algorithm",

@@ -836,7 +836,8 @@ def _cmd_atlas_run(args) -> int:
                     args.objective: round(row["score"], 6),
                     "baseline": round(row["baseline"], 6),
                     "beat": "yes" if row["beat_baseline"] else "no",
-                    "merge": row["merge"],
+                    "merge": row["merge"]
+                    + (" (re-stamped)" if row["refreshed"] else ""),
                 }
                 for row in rows
             ],

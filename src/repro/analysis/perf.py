@@ -1,12 +1,12 @@
 """Perf ledger: one append-only trajectory for every bench profile.
 
-The four committed ``BENCH_*.json`` files are point-in-time baselines
-with four disjoint schemas, historically checked by four separate
-``check_bench_baseline.py`` invocations.  This module unifies them:
+The committed ``BENCH_*.json`` files are point-in-time baselines with
+disjoint schemas.  This module gates them all through one check
+(``repro perf check`` / ``scripts/perf_ledger.py check``):
 
 * :data:`PROFILES` — the single source of truth for each bench
   profile's baseline file, case key, guarded metric, and required
-  fields (``scripts/check_bench_baseline.py`` imports it from here);
+  fields;
 * ``PERF_LEDGER.jsonl`` — an append-only history: each
   :func:`record` call folds one bench payload into one ledger line
   (profile, source metadata, per-case metric values), so the
@@ -14,7 +14,6 @@ with four disjoint schemas, historically checked by four separate
   point;
 * :func:`check` — the unified regression gate: each candidate bench
   run is compared against the **latest ledger entry of its profile**
-  with the same tolerance semantics as the per-file baseline checker
   (shared cases only; a case below ``1 - max_regression`` of its
   ledger value fails; faster never fails).
 

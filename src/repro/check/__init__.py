@@ -3,7 +3,8 @@
 Bounded model checking (:mod:`~repro.check.explorer`), worst-case
 schedule search (:mod:`~repro.check.worstcase`), counterexample
 shrinking (:mod:`~repro.check.shrink`), all built on the controlled
-async engine loop (:mod:`~repro.check.controller`).  See
+schedule the async engine takes its events from
+(:mod:`~repro.check.controller`).  See
 ``docs/modelcheck.md``.
 """
 

@@ -3,9 +3,10 @@
 The plain :class:`~repro.sim.async_engine.AsyncEngine` resolves all
 nondeterminism up front: the adversary's :class:`DelayStrategy` fixes
 every delivery time, and the heap fixes the event order.  This module
-replaces that with an explicit *choice-point* model: at every step the
-engine asks a :class:`ScheduleController` which of the currently
-*enabled* events fires next —
+replaces that with an explicit *choice-point* model: a
+:class:`ControlledSchedule` stands in for the engine's heap, and at
+every step it asks a :class:`ScheduleController` which of the
+currently *enabled* events fires next —
 
 * the head of the adversary's wake schedule (when no pending message is
   forced to be delivered first by the tau = 1 deadline), or
@@ -44,7 +45,7 @@ import heapq
 import json
 import math
 import random
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from pathlib import Path
@@ -63,8 +64,8 @@ from typing import (
 
 from repro.errors import SimulationError
 from repro.sim.adversary import DelayStrategy
-from repro.sim.async_engine import _STEP_EVERY
-from repro.sim.messages import Message, bit_size_cached
+from repro.sim.async_engine import _DELIVER, _WAKE
+from repro.sim.messages import Message
 
 Vertex = Hashable
 
@@ -172,16 +173,16 @@ class ScheduleController:
     Class attributes are the protocol knobs the engine reads:
     ``laziness`` scales delivery times across the legality envelope,
     ``mutation`` enables a planted bug (tests only), ``record_states``
-    asks the loop to log a state fingerprint at every choice point.
-    The loop sets ``log`` (and keeps itself reachable as ``loop``)
-    before the first ``choose`` call.
+    asks for a state fingerprint at every choice point.  The engine's
+    :class:`ControlledSchedule` sets ``log`` (and keeps itself
+    reachable as ``loop``) before the first ``choose`` call.
     """
 
     laziness: float = 0.0
     mutation: Optional[str] = None
     record_states: bool = False
     log: Optional[ScheduleLog] = None
-    loop: Optional["_ControlledLoop"] = None
+    loop: Optional["ControlledSchedule"] = None
 
     def choose(self, cp: ChoicePoint) -> int:
         """Index into ``cp.enabled`` of the event to fire, or ABORT."""
@@ -255,7 +256,7 @@ class ReplayDelay(DelayStrategy):
     the plain engine.
 
     A pure function of the send sequence number, so it is a legitimate
-    oblivious :class:`DelayStrategy`; the controlled loop guarantees
+    oblivious :class:`DelayStrategy`; the controlled schedule guarantees
     the recorded delays are in (0, 1], strictly increasing in global
     send order, and FIFO-monotone per channel — the plain heap then
     reproduces the controlled event order exactly.
@@ -333,17 +334,21 @@ def _rng_token(r) -> Tuple[str, object]:
 
 
 # ----------------------------------------------------------------------
-# The controlled event loop
+# The controlled event source
 # ----------------------------------------------------------------------
 
 
-class _ControlledLoop:
-    """One controlled execution over an already-constructed engine.
+class ControlledSchedule:
+    """The controller's stand-in for the engine's ``(time, seq)`` heap.
 
-    Mirrors the plain loop's observable behaviour exactly — metrics,
-    trace events, telemetry heartbeats, event accounting — while
-    sourcing the event order from the controller and the event times
-    from the STEP/GUARD scheme above.
+    ``AsyncEngine.run`` drives it like the heap: ``bool()`` decides the
+    next event (building the enabled set and asking the controller),
+    ``pop`` yields it as the same ``(time, seq, kind, obj)`` tuple, and
+    the engine's flush hands every send to ``enqueue`` instead of
+    drawing a delay.  Event handling itself — wakes, deliveries, send
+    accounting, phases, the event budget, heartbeats and metrics —
+    stays in the engine; this object only orders events and assigns
+    their times by the STEP/GUARD scheme above.
     """
 
     def __init__(self, engine):
@@ -364,6 +369,9 @@ class _ControlledLoop:
             raise SimulationError(
                 "schedule controllers do not compose with drop strategies"
             )
+        self._record_states = bool(
+            getattr(controller, "record_states", False)
+        )
         self.log = ScheduleLog()
         controller.log = self.log
         controller.loop = self
@@ -379,8 +387,95 @@ class _ControlledLoop:
             wakes.append((t, s, v))
         self._wakes = wakes
         self._wake_i = 0
-        self._channels: Dict[Tuple[Vertex, Vertex], Deque[Message]] = {}
-        self._now = engine._now
+        self._channels: Dict[
+            Tuple[Vertex, Vertex], Deque[Message]
+        ] = defaultdict(deque)
+        self._next: Optional[Tuple[float, int, int, Any]] = None
+        self._popped = 0
+        self._aborted = False
+        engine._enqueue = self.enqueue
+
+    # -- the heap interface the engine loop uses ------------------------
+    def __bool__(self) -> bool:
+        wakes = self._wakes
+        if self._wake_i < len(wakes):
+            t_w, s_w, v_w = wakes[self._wake_i]
+            # Wakes of already-awake vertices are state no-ops (the
+            # engine's _handle_wake returns early); fire them without a
+            # choice point — they commute with everything except the
+            # clock, which fingerprints exclude.
+            if (
+                self._engine._vstate[v_w][0]._awake
+                and self._wake_enabled(t_w)
+            ):
+                self._wake_i += 1
+                self._next = (t_w, s_w, _WAKE, v_w)
+                return True
+        enabled = self._enabled_events()
+        if not enabled:
+            return False
+        log = self.log
+        free = len(enabled) > 1
+        cp = ChoicePoint(
+            len(log.choices), self._popped, self._engine._now,
+            tuple(enabled), free, self,
+        )
+        if self._record_states:
+            log.states.append(cp.fingerprint())
+        idx = self._controller.choose(cp)
+        if idx == ABORT:
+            self._aborted = True
+            return False
+        if not 0 <= idx < len(enabled):
+            raise SimulationError(
+                f"controller chose event {idx} of {len(enabled)} enabled"
+            )
+        if free:
+            log.choices.append(idx)
+            log.branch_sizes.append(len(enabled))
+        ev = enabled[idx]
+        if ev.kind == "wake":
+            self._wake_i += 1
+            self._next = (ev.deadline, ev.seq, _WAKE, ev.vertex)
+            return True
+        chan = (ev.src, ev.vertex)
+        q = self._channels[chan]
+        if q[0].seq == ev.seq:
+            msg = q.popleft()
+        else:
+            # Only reachable under the skip-fifo mutation.
+            msg = next(m for m in q if m.seq == ev.seq)
+            q.remove(msg)
+        if not q:
+            del self._channels[chan]
+        tau = self._assign_time(ev)
+        log.delays[msg.seq] = tau - msg.sent_at
+        self._next = (tau, msg.seq, _DELIVER, msg)
+        return True
+
+    def pop(self) -> Tuple[float, int, int, Any]:
+        """The event the last ``bool()`` chose."""
+        self._popped += 1
+        return self._next
+
+    def __len__(self) -> int:
+        """Pending events (queued messages plus unfired wakes), the
+        frontier size the engine samples."""
+        return (
+            sum(map(len, self._channels.values()))
+            + len(self._wakes) - self._wake_i
+        )
+
+    def enqueue(self, msg: Message) -> None:
+        """Queue a send on its channel; its delivery time is assigned
+        when the controller fires it."""
+        self._channels[msg.src, msg.dst].append(msg)
+
+    def finish(self, processed: int) -> None:
+        log = self.log
+        log.steps = processed
+        log.completed = not self._aborted
+        log.final_state = self.fingerprint()
 
     # -- enabled-set construction --------------------------------------
     def _oldest_deadline(self) -> Optional[float]:
@@ -423,7 +518,7 @@ class _ControlledLoop:
         # deliveries.
         if self._wake_i < len(self._wakes):
             t_w = self._wakes[self._wake_i][0]
-            if self._now + STEP >= t_w:
+            if self._engine._now + STEP >= t_w:
                 return enabled
         for m in msgs:
             enabled.append(
@@ -434,30 +529,9 @@ class _ControlledLoop:
             )
         return enabled
 
-    # -- event execution -----------------------------------------------
-    def _advance(self, time: float) -> None:
-        if time > self._now:
-            self._now = time
-            self._engine._now = time
-
-    def _fire_wake(self, ev: EnabledEvent) -> None:
-        engine = self._engine
-        self._wake_i += 1
-        self._advance(ev.deadline)
-        ctx, node = engine._vstate[ev.vertex]
-        if ctx._awake:
-            return  # waking is permanent; a repeat wake only advances time
-        ctx._awake = True
-        ctx.wake_cause = "adversary"
-        engine.metrics.record_wake(ev.vertex, ev.deadline, "adversary")
-        if engine.trace is not None:
-            engine.trace.wake(ev.deadline, ev.vertex, "adversary")
-        node.on_wake(ctx)
-        self._flush(ev.vertex, ev.deadline)
-
     def _assign_time(self, ev: EnabledEvent) -> float:
         """Delivery-time assignment: eager floor, lazy ceiling."""
-        lo = self._now + STEP
+        lo = self._engine._now + STEP
         if lo > ev.deadline:
             raise SimulationError(
                 "controlled schedule exhausted the timestamp room below "
@@ -492,156 +566,6 @@ class _ControlledLoop:
                 f"the pending wake at t={self._wakes[self._wake_i][0]:g}"
             )
         return tau
-
-    def _deliver(self, ev: EnabledEvent) -> None:
-        engine = self._engine
-        chan = (ev.src, ev.vertex)
-        q = self._channels[chan]
-        if q[0].seq == ev.seq:
-            msg = q.popleft()
-        else:
-            # Only reachable under the skip-fifo mutation.
-            msg = next(m for m in q if m.seq == ev.seq)
-            q.remove(msg)
-        if not q:
-            del self._channels[chan]
-        tau = self._assign_time(ev)
-        self.log.delays[msg.seq] = tau - msg.sent_at
-        self._advance(tau)
-        metrics = engine.metrics
-        trace = engine.trace
-        v = msg.dst
-        ctx, node = engine._vstate[v]
-        metrics.received_by[v] += 1
-        if tau > metrics.last_activity:
-            metrics.last_activity = tau
-        if trace is not None:
-            trace.deliver(tau, msg)
-        if not ctx._awake:
-            ctx._awake = True
-            ctx.wake_cause = "message"
-            metrics.record_wake(v, tau, "message")
-            if trace is not None:
-                trace.wake(tau, v, "message")
-            node.on_wake(ctx)
-        node.on_message(ctx, msg.dst_port, msg.payload)
-        self._flush(v, tau)
-
-    def _flush(self, v: Vertex, time: float) -> None:
-        """Queue a node's outbox into the pending channels.
-
-        Mirrors the plain engine's flush semantics (bandwidth check,
-        send accounting, trace order); the delivery time is assigned
-        later, when the controller fires the message.
-        """
-        engine = self._engine
-        ctx = engine._ctx[v]
-        if not ctx._outbox:
-            return
-        neighbors, back_ports = engine._tables[v]
-        metrics = engine.metrics
-        trace = engine.trace
-        seq_next = engine._seq.__next__
-        channels = self._channels
-        for send in ctx._drain():
-            port = send.port
-            dst = neighbors[port - 1]
-            payload = send.payload
-            bits = bit_size_cached(payload)
-            engine.setup.bandwidth.check(bits)
-            seq = seq_next()
-            msg = Message(
-                v, dst, back_ports[port - 1], port, payload, bits, time, seq
-            )
-            metrics.record_send(v, dst, bits)
-            if trace is not None:
-                trace.send(time, msg)
-            chan = (v, dst)
-            q = channels.get(chan)
-            if q is None:
-                q = channels[chan] = deque()
-            q.append(msg)
-
-    # -- the loop ------------------------------------------------------
-    def run(self):
-        engine = self._engine
-        controller = self._controller
-        rec = engine.recorder
-        rec_enabled = rec.enabled
-        metrics = engine.metrics
-        vstate = engine._vstate
-        max_events = engine._max_events
-        record_states = bool(getattr(controller, "record_states", False))
-        log = self.log
-        processed = 0
-        aborted = False
-        engine.phases._start("engine", None)
-        try:
-            while True:
-                # Wakes of already-awake vertices are state no-ops (the
-                # plain loop's _handle_wake returns early); fire them
-                # silently instead of branching on them — they commute
-                # with everything except the clock, which fingerprints
-                # exclude.  They still count as processed events, like
-                # in the plain loop.
-                while self._wake_i < len(self._wakes):
-                    t_w, _s, v_w = self._wakes[self._wake_i]
-                    if not vstate[v_w][0]._awake:
-                        break
-                    if not self._wake_enabled(t_w):
-                        break
-                    self._wake_i += 1
-                    self._advance(t_w)
-                    processed += 1
-                enabled = self._enabled_events()
-                if not enabled:
-                    break
-                free = len(enabled) > 1
-                cp = ChoicePoint(
-                    len(log.choices), processed, self._now, tuple(enabled),
-                    free, self,
-                )
-                if record_states:
-                    log.states.append(cp.fingerprint())
-                idx = controller.choose(cp)
-                if idx == ABORT:
-                    aborted = True
-                    break
-                if not 0 <= idx < len(enabled):
-                    raise SimulationError(
-                        f"controller chose event {idx} of "
-                        f"{len(enabled)} enabled"
-                    )
-                if free:
-                    log.choices.append(idx)
-                    log.branch_sizes.append(len(enabled))
-                ev = enabled[idx]
-                processed += 1
-                if processed > max_events:
-                    raise SimulationError(
-                        f"event budget of {max_events} exceeded; "
-                        "the protocol is likely not terminating"
-                    )
-                if ev.kind == "wake":
-                    self._fire_wake(ev)
-                else:
-                    self._deliver(ev)
-                if rec_enabled and processed % _STEP_EVERY == 0:
-                    rec.emit(
-                        "engine_step",
-                        events=processed,
-                        now=self._now,
-                        awake=metrics.awake_count(),
-                        n=engine.setup.n,
-                        engine="async",
-                    )
-        finally:
-            engine.phases._stop()
-        log.steps = processed
-        log.completed = not aborted
-        log.final_state = self.fingerprint()
-        metrics.events_processed = processed
-        return metrics
 
     # -- state fingerprinting ------------------------------------------
     def fingerprint(self) -> str:
@@ -689,12 +613,6 @@ class _ControlledLoop:
             )
         )
         return blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
-
-
-def run_controlled(engine):
-    """Entry point the async engine delegates to when a controller is
-    attached (see ``AsyncEngine.run``)."""
-    return _ControlledLoop(engine).run()
 
 
 # ----------------------------------------------------------------------

@@ -79,18 +79,6 @@ CACHE_SCHEMA = 2
 DEFAULT_CACHE_DIR = Path("results") / ".cache"
 
 
-def __getattr__(name: str) -> Any:
-    # Deprecated alias (PEP 562): the old hand-bumped constant now
-    # folds every derived subsystem salt, so legacy "did anything
-    # change?" consumers keep working without forcing the salt
-    # derivation at import time.
-    if name == "CODE_SALT":
-        from repro.versioning import code_salt
-
-        return code_salt()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # ----------------------------------------------------------------------
 # Cell specification
 # ----------------------------------------------------------------------

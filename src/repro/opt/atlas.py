@@ -48,8 +48,8 @@ DEFAULT_ATLAS_REPLAY_DIR = Path("results") / ".atlas"
 ATLAS_REPLAY_KIND = "repro-opt-replay"
 
 #: Absolute time tolerance when comparing replayed makespans; messages
-#: and bits must match exactly.  The controlled loop guarantees replay
-#: reproduces event order, so this only absorbs float formatting
+#: and bits must match exactly.  The controlled schedule guarantees
+#: replay reproduces event order, so this only absorbs float formatting
 #: through JSON (repr round-trips, so in practice the diff is 0.0).
 TIME_TOL = 1e-12
 
@@ -200,16 +200,28 @@ def merge_entry(atlas: Dict[str, Any], entry: Dict[str, Any]) -> str:
     return outcome
 
 
+def _current_salts(entry: Mapping[str, Any]) -> Dict[str, str]:
+    controlled = entry.get("genome", {}).get("kind") == "choice_prefix"
+    return atlas_salt_vector(entry["algorithm"], controlled=controlled)
+
+
 def entry_is_stale(entry: Mapping[str, Any]) -> bool:
     """Whether an entry's recorded salts are superseded by the current
     code (replay bit-exactness no longer guaranteed)."""
     salts = entry.get("salts")
     if not isinstance(salts, dict):
         return True
-    controlled = entry.get("genome", {}).get("kind") == "choice_prefix"
-    return dict(salts) != atlas_salt_vector(
-        entry["algorithm"], controlled=controlled
-    )
+    return dict(salts) != _current_salts(entry)
+
+
+def refresh_entry(entry: Dict[str, Any]) -> bool:
+    """Re-stamp a stale entry with the current salt vector if it still
+    replays bit-identically under the current code; returns whether it
+    did.  An entry that no longer replays stays stale."""
+    if not entry_is_stale(entry) or not replay_entry(entry)[0]:
+        return False
+    entry["salts"] = _current_salts(entry)
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -422,7 +434,9 @@ def improve_atlas(
     Runs the random baseline and every named optimizer through the
     executor, verifies the overall incumbent replays bit-identically
     through the plain engine, writes the runtime replay artifact, and
-    merges the entry monotonically into ``atlas`` (in place).  Returns
+    merges the entry monotonically into ``atlas`` (in place).  A kept
+    incumbent with stale salts is re-stamped when it still replays
+    bit-identically (:func:`refresh_entry`).  Returns
     a summary row (entry key, scores, merge outcome, per-optimizer
     history) for CLI/bench reporting.
 
@@ -538,13 +552,17 @@ def improve_atlas(
             f"{detail}"
         )
     merged = merge_entry(atlas, entry)
+    key = entry_key(
+        entry["algorithm"],
+        entry["workload"],
+        entry["objective"],
+        entry["n"],
+    )
+    # A kept incumbent may predate a code change; once it is shown to
+    # replay bit-identically, its salts are brought up to date.
+    refreshed = merged == "kept" and refresh_entry(atlas["entries"][key])
     return {
-        "key": entry_key(
-            entry["algorithm"],
-            entry["workload"],
-            entry["objective"],
-            entry["n"],
-        ),
+        "key": key,
         "n": base_spec.n,
         "objective": objective,
         "score": best_score,
@@ -553,6 +571,7 @@ def improve_atlas(
         "optimizer": best_name,
         "genome_kind": best_genome.kind,
         "merge": merged,
+        "refreshed": refreshed,
         "replay_ok": ok,
         "runs": runs,
     }

@@ -74,10 +74,10 @@ class AsyncEngine:
         controller=None,
     ):
         self.setup = setup
-        # Schedule controller (repro.check): when set, run() delegates
-        # to the controlled loop.  Same zero-overhead discipline as
-        # NULL_RECORDER — the plain hot path pays one attribute check
-        # per run(), not per event.
+        # Schedule controller (repro.check): when set, run() takes its
+        # events from a ControlledSchedule instead of the heap.  Same
+        # zero-overhead discipline as NULL_RECORDER — the plain hot
+        # path pays one attribute check per run(), not per event.
         self._controller = controller
         self.nodes = nodes
         self.adversary = adversary
@@ -104,7 +104,9 @@ class AsyncEngine:
         if type(drops) is NoDrops:
             drops = None  # structurally a no-op; take the fast lane
         self._drops = drops
-        if drops is None and trace is None:
+        # A ControlledSchedule sets this to take over every send.
+        self._enqueue: Optional[Callable[[Message], None]] = None
+        if drops is None and trace is None and controller is None:
             self._flush = self._flush_fast
         else:
             self._flush = self._flush_full
@@ -143,14 +145,24 @@ class AsyncEngine:
     def run(self) -> Metrics:
         """Process events until quiescence; returns the metrics.
 
+        Events come from the ``(time, seq)`` heap or, when a schedule
+        controller is attached, from a
+        :class:`~repro.check.controller.ControlledSchedule` that stands
+        in for it; everything else about the loop is shared.
+
         The whole event loop runs inside the implicit ``"engine"``
         phase, so every execution has at least one phase profile entry
         even for algorithms that declare no phases of their own.
         """
-        if self._controller is not None:
-            from repro.check.controller import run_controlled
+        if self._controller is None:
+            heap, pop = self._heap, heapq.heappop
+        else:
+            # The controller's schedule stands in for the heap; it is
+            # imported lazily because repro.check imports this module.
+            from repro.check.controller import ControlledSchedule
 
-            return run_controlled(self)
+            heap = ControlledSchedule(self)
+            pop = ControlledSchedule.pop
         rec = self.recorder
         rec_enabled = rec.enabled  # fixed for the run; hoisted
         mreg = get_registry()
@@ -164,8 +176,6 @@ class AsyncEngine:
             if mreg.enabled
             else None
         )
-        heap = self._heap
-        pop = heapq.heappop
         handle_wake = self._handle_wake
         max_events = self._max_events
         vstate = self._vstate
@@ -229,6 +239,8 @@ class AsyncEngine:
         finally:
             self.phases._stop()
         self.metrics.events_processed = processed
+        if heap is not self._heap:
+            heap.finish(processed)
         if mreg.enabled:
             mreg.counter("repro_engine_runs_total", engine="async").inc()
             mreg.counter(
@@ -360,13 +372,16 @@ class AsyncEngine:
                 metrics.sent_by[v] += n_sent
 
     def _flush_full(self, v: Vertex, time: float) -> None:
-        """General path: fault injection and/or tracing enabled."""
+        """General path: fault injection, tracing and/or a schedule
+        controller, which takes each send through ``_enqueue`` and
+        assigns its delivery time when it fires."""
         ctx = self._ctx[v]
         if not ctx._outbox:
             return
         neighbors, back_ports = self._tables[v]
         drops = self._drops
         trace = self.trace
+        enqueue = self._enqueue
         for send in ctx._drain():
             port = send.port
             dst = neighbors[port - 1]
@@ -379,21 +394,24 @@ class AsyncEngine:
                 # charged to the sender but never delivered.
                 self.metrics.record_send(v, dst, bits)
                 continue
-            delay = self.adversary.delays.delay(v, dst, time, seq)
-            if not 0.0 < delay <= 1.0:
-                raise SimulationError(
-                    f"adversary produced delay {delay} outside (0, 1]"
-                )
-            deliver_at = time + delay
-            chan = (v, dst)
-            prev = self._fifo_last.get(chan)
-            if prev is not None and deliver_at <= prev:
-                deliver_at = self._fifo_slot(prev, time + 1.0, chan)
-            self._fifo_last[chan] = deliver_at
             msg = Message(
                 v, dst, back_ports[port - 1], port, payload, bits, time, seq
             )
+            if enqueue is not None:
+                enqueue(msg)
+            else:
+                delay = self.adversary.delays.delay(v, dst, time, seq)
+                if not 0.0 < delay <= 1.0:
+                    raise SimulationError(
+                        f"adversary produced delay {delay} outside (0, 1]"
+                    )
+                deliver_at = time + delay
+                chan = (v, dst)
+                prev = self._fifo_last.get(chan)
+                if prev is not None and deliver_at <= prev:
+                    deliver_at = self._fifo_slot(prev, time + 1.0, chan)
+                self._fifo_last[chan] = deliver_at
+                heapq.heappush(self._heap, (deliver_at, seq, _DELIVER, msg))
             self.metrics.record_send(v, dst, bits)
             if trace is not None:
                 trace.send(time, msg)
-            heapq.heappush(self._heap, (deliver_at, seq, _DELIVER, msg))

@@ -263,17 +263,6 @@ def salt_vector() -> Dict[str, str]:
     return {name: subsystem_salt(name) for name in SUBSYSTEMS}
 
 
-def code_salt() -> str:
-    """Deprecated whole-world fold of every subsystem salt.
-
-    The successor of the hand-bumped ``CODE_SALT`` constant, kept so
-    anything that wants "did *any* semantics change?" still has one
-    string to compare.  New code should depend on the narrowest salts
-    that cover it instead.
-    """
-    return "repro-cells-" + _fold(sorted(salt_vector().items()))
-
-
 # ----------------------------------------------------------------------
 # Per-algorithm salts (import closure within the algorithms subsystem)
 # ----------------------------------------------------------------------
@@ -413,7 +402,7 @@ def atlas_salt_vector(algorithm: str, *, controlled: bool = False) -> Dict[str, 
 
     An atlas incumbent is a cell result: engine + graphs + the
     algorithm's import closure decide its score.  Choice-prefix
-    incumbents additionally execute the controlled loop in
+    incumbents additionally execute the controlled schedule in
     ``repro.check``, so ``controlled=True`` folds the check salt in.
     The ``opt`` salt is deliberately absent: optimizers choose which
     schedules to *try*, but an entry records only what a schedule

@@ -83,6 +83,27 @@ class TestControlledRun:
                 controller=RandomController(),
             )
 
+    def test_controlled_run_bumps_engine_counters(self):
+        from repro.obs.metrics import MetricsRegistry, set_global_registry
+
+        registry = MetricsRegistry()
+        previous = set_global_registry(registry)
+        try:
+            ctl = RandomController(seed=4)
+            result = _controlled(_world(complete_graph, 5), ctl)
+        finally:
+            set_global_registry(previous)
+        counters = registry.snapshot()["counters"]
+        assert counters['repro_engine_runs_total{engine="async"}'] == 1
+        assert (
+            counters['repro_engine_events_total{engine="async"}']
+            == ctl.log.steps
+        )
+        assert (
+            counters['repro_engine_messages_total{engine="async"}']
+            == result.messages
+        )
+
 
 class TestBitIdenticalReplay:
     @pytest.mark.parametrize("laziness", [0.0, 0.5, 1.0])
@@ -139,25 +160,28 @@ class TestBitIdenticalReplay:
             def close(self):
                 pass
 
-        world = _world(cycle_graph, 5)
-        ctl = RandomController(seed=2)
-        rec1 = Capture()
-        setup, algo, adv = world()
-        run_wakeup(
-            setup, algo, adv, engine="async", seed=0,
-            require_all_awake=False, controller=ctl, recorder=rec1,
-        )
-        rec2 = Capture()
-        setup, algo, adv = world()
-        run_wakeup(
-            setup, algo,
-            Adversary(adv.schedule, ReplayDelay(ctl.log.delays)),
-            engine="async", seed=0, require_all_awake=False,
-            recorder=rec2,
-        )
         from collections import Counter
 
-        assert Counter(rec1.events) == Counter(rec2.events)
+        # complete/48 floods 2256 messages, past the engine_step
+        # heartbeat cadence, so heartbeats are compared too.
+        for world in (_world(cycle_graph, 5), _world(complete_graph, 48)):
+            ctl = RandomController(seed=2)
+            rec1 = Capture()
+            setup, algo, adv = world()
+            run_wakeup(
+                setup, algo, adv, engine="async", seed=0,
+                require_all_awake=False, controller=ctl, recorder=rec1,
+            )
+            rec2 = Capture()
+            setup, algo, adv = world()
+            run_wakeup(
+                setup, algo,
+                Adversary(adv.schedule, ReplayDelay(ctl.log.delays)),
+                engine="async", seed=0, require_all_awake=False,
+                recorder=rec2,
+            )
+            assert Counter(rec1.events) == Counter(rec2.events)
+        assert Counter(rec1.events)["engine_step"] == ctl.log.steps // 1000
 
 
 class TestReplayControllerModes:

@@ -28,6 +28,7 @@ from repro.opt.atlas import (
     merge_entry,
     plain_replay_spec,
     purge_atlas_artifacts,
+    refresh_entry,
     replay_entry,
     save_artifact,
     save_atlas,
@@ -214,6 +215,17 @@ class TestEntries:
         assert len(stale) == 1
         assert entry_is_stale(entry)
 
+    def test_refresh_needs_a_bit_identical_replay(self, tmp_path):
+        entry = entry_for(tmp_path, DelayVectorGenome((0.7, 0.9)))
+        assert not refresh_entry(entry)  # live: nothing to re-stamp
+        entry["salts"] = dict(entry["salts"], engine="0" * 16)
+        diverged = json.loads(json.dumps(entry))
+        diverged["expect"]["messages"] += 1
+        assert not refresh_entry(diverged)
+        assert entry_is_stale(diverged)
+        assert refresh_entry(entry)
+        assert not entry_is_stale(entry)
+
     def test_plain_replay_spec_strips_controller(self, tmp_path):
         entry = entry_for(
             tmp_path, ChoicePrefixGenome((0, 1, 2), laziness=1.0)
@@ -282,6 +294,31 @@ class TestImproveAtlas:
             replay_dir=tmp_path / "artifacts",
         )
         assert again["merge"] in ("kept", "improved")
+
+    def test_rerun_restamps_kept_stale_incumbent(self, tmp_path):
+        """A code change moves an incumbent's salts; a re-run that
+        keeps it re-stamps them once it replays bit-identically."""
+        kwargs = dict(
+            base_spec=check_world_spec("flooding", 16, graph="star"),
+            executor=serial_executor(tmp_path),
+            optimizers=("cem",),
+            generations=2,
+            population=4,
+            baseline_trials=4,
+            replay_dir=tmp_path / "artifacts",
+        )
+        atlas = empty_atlas()
+        improve_atlas(atlas, **kwargs)
+        (entry,) = atlas["entries"].values()
+        before = json.loads(json.dumps(entry))
+        entry["salts"] = dict(entry["salts"], engine="0" * 16)
+        assert check_atlas(atlas)[1] != []
+        again = improve_atlas(atlas, **kwargs)
+        assert again["merge"] == "kept"
+        assert again["refreshed"]
+        assert check_atlas(atlas) == ([], [])
+        (entry,) = atlas["entries"].values()
+        assert entry == before
 
     def test_choice_prefix_space_pass(self, tmp_path):
         atlas = empty_atlas()
