@@ -7,6 +7,11 @@ both lanes on the identical workload — flooding on a connected ER graph
 of average degree 8, a handful of adversary-woken nodes — at
 n in {16384, 65536}, through the same compiled-topology path the sweep
 executor uses (so neither lane is charged for graph construction).
+``make_setup`` runs outside the timer too.  It defers the port
+shuffles to the first port query, which the sync lane makes in its
+first repeat; the best-of-``repeats`` wall leaves that repeat out.  So
+these figures are engine-only: the ``e2ebench`` workload
+``sweep_bulk`` measures whole cells, setup included.
 
 "Events" is the same unit ``bench_engine_hotpath.py`` uses for the sync
 engine — deliveries + wakes (= messages + awake count) — so

@@ -178,14 +178,7 @@ class CompiledTopology:
         """
         awake = list(awake)
         rho = float(awake_distance(graph, awake))
-        verts = list(graph.vertices())
-        index = {v: i for i, v in enumerate(verts)}
-        indptr = [0]
-        indices: List[int] = []
-        for v in verts:
-            for u in graph.neighbors(v):
-                indices.append(index[u])
-            indptr.append(len(indices))
+        verts, index, indptr, indices = graph_csr(graph)
         topo = cls(
             key=key,
             verts=verts,
@@ -228,27 +221,33 @@ class CompiledTopology:
     def num_edges(self) -> int:
         return len(self.indices) // 2
 
-    def random_ports(self, rng) -> "Any":
-        """Uniformly random port assignment, bit-compatible with
-        ``PortAssignment.random(self.graph(), rng)`` but skipping the
-        per-vertex permutation and symmetry validation (the artifact is
-        already validated) and prebuilding the engines' send tables.
+    def vertex_index(self) -> Dict[Vertex, int]:
+        """Vertex label -> CSR row index (built once, then shared)."""
+        index = self._runtime.get("vertex_index")
+        if index is None:
+            index = {v: i for i, v in enumerate(self.verts)}
+            self._runtime["vertex_index"] = index
+        return index
 
-        Consumes ``rng`` in exactly the same sequence as the legacy
-        constructor — ``random.shuffle`` depends only on list length —
-        so seeded runs stay bit-identical.
+    def reverse_edges(self) -> List[int]:
+        """:func:`reverse_edges` of this CSR (built once, then shared)."""
+        rev = self._runtime.get("reverse_edges")
+        if rev is None:
+            rev = reverse_edges(self.indptr, self.indices)
+            self._runtime["reverse_edges"] = rev
+        return rev
+
+    def random_ports(self, rng) -> "Any":
+        """Uniformly random port assignment over this CSR, the same
+        assignment ``PortAssignment.random(self.graph(), rng)`` draws.
+
+        ``rng`` is a :class:`random.Random` to shuffle with now, or a
+        state from its ``getstate()`` to shuffle from on the first port
+        query (see :meth:`PortAssignment.shuffled`).
         """
         from repro.models.ports import PortAssignment
 
-        graph = self.graph()
-        verts = self.verts
-        indptr, indices = self.indptr, self.indices
-        order: Dict[Vertex, List[Vertex]] = {}
-        for i, v in enumerate(verts):
-            nbrs = [verts[j] for j in indices[indptr[i] : indptr[i + 1]]]
-            rng.shuffle(nbrs)
-            order[v] = nbrs
-        return PortAssignment.prevalidated(graph, order)
+        return PortAssignment.shuffled(self, rng)
 
     # -- serialization ---------------------------------------------------
     def to_payload(self) -> Dict[str, Any]:
@@ -279,6 +278,40 @@ class CompiledTopology:
             f"CompiledTopology(n={self.n}, m={self.num_edges()}, "
             f"key={self.key[:12]}...)"
         )
+
+
+def graph_csr(
+    graph: Graph,
+) -> Tuple[List[Vertex], Dict[Vertex, int], List[int], List[int]]:
+    """``(verts, index, indptr, indices)``: the CSR adjacency of
+    ``graph`` over vertex indices (``index`` maps label -> index), in
+    the graph's vertex and neighbor insertion order."""
+    verts = list(graph.vertices())
+    index = {v: i for i, v in enumerate(verts)}
+    indptr = [0]
+    indices: List[int] = []
+    for v in verts:
+        indices.extend(index[u] for u in graph.neighbors(v))
+        indptr.append(len(indices))
+    return verts, index, indptr, indices
+
+
+def reverse_edges(indptr: List[int], indices: List[int]) -> List[int]:
+    """For every CSR slot ``c`` holding the edge i -> j, the slot of
+    j -> i in row j, or -1 when row j does not list i (an asymmetric
+    adjacency)."""
+    n = len(indptr) - 1
+    slot_of = [
+        dict(zip(indices[indptr[j] : indptr[j + 1]],
+                 range(indptr[j], indptr[j + 1])))
+        for j in range(n)
+    ]
+    rev: List[int] = []
+    for i in range(n):
+        rev.extend(
+            slot_of[j].get(i, -1) for j in indices[indptr[i] : indptr[i + 1]]
+        )
+    return rev
 
 
 def build_topology(

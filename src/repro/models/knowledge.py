@@ -90,10 +90,8 @@ class NetworkSetup:
 
     def neighbor_ids(self, v: Vertex) -> List[int]:
         """IDs of v's neighbors in port order (KT1 knowledge content)."""
-        return [
-            self.ids[self.ports.neighbor(v, p)]
-            for p in self.ports.ports(v)
-        ]
+        ids = self.ids
+        return [ids[u] for u in self.ports.neighbors_in_port_order(v)]
 
     def with_advice(self, advice: Dict[Vertex, object]) -> "NetworkSetup":
         """A copy of this setup carrying oracle-computed advice."""
@@ -128,8 +126,14 @@ def assign_ids(
     used = set(ids.values())
     remaining = [v for v in graph.vertices() if v not in ids]
     pool: List[int] = []
+    # rng.randrange(space), inlined: the same getrandbits rejection
+    # loop, so the draws and the RNG state after them are identical.
+    getrandbits = rng.getrandbits
+    k = space.bit_length()
     while len(pool) < len(remaining):
-        candidate = rng.randrange(space)
+        candidate = getrandbits(k)
+        while candidate >= space:
+            candidate = getrandbits(k)
         if candidate not in used:
             used.add(candidate)
             pool.append(candidate)
@@ -151,20 +155,27 @@ def make_setup(
     """Convenience constructor for the common experiment shapes.
 
     ``bandwidth`` is "LOCAL" or "CONGEST".  Random choices (IDs, port
-    shuffles) derive from ``seed``.
+    shuffles) derive from ``seed``: IDs first, then ports.
 
-    ``compiled`` (a :class:`repro.graphs.compile.CompiledTopology` of
-    this same graph) routes the port shuffle through the artifact's
-    prevalidated fast path: identical rng consumption, identical
-    assignment, but no per-vertex permutation/symmetry re-validation
-    and the engines' send tables come prebuilt.
+    ``compiled`` (a :class:`repro.graphs.compile.CompiledTopology`
+    whose materialized graph is ``graph``; anything else raises) draws
+    the same port assignment over the artifact's CSR arrays.  When
+    ``seed`` is an int or None this call owns the RNG, so it saves the
+    RNG state after the IDs and the shuffles run on the first port
+    query that needs them; a shared :class:`random.Random` is shuffled
+    now, leaving it in the same state as without ``compiled``.
     """
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    if compiled is not None and compiled.graph() is not graph:
+        raise SimulationError(
+            "make_setup: compiled is not the topology of graph"
+        )
+    shared = isinstance(seed, random.Random)
+    rng = seed if shared else random.Random(seed)
     if ids is None:
         ids = assign_ids(graph, rng)
     if ports is None:
         if compiled is not None:
-            ports = compiled.random_ports(rng)
+            ports = compiled.random_ports(rng if shared else rng.getstate())
         else:
             ports = PortAssignment.random(graph, rng)
     if bandwidth == "LOCAL":

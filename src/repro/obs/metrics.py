@@ -126,6 +126,11 @@ CATALOG: Dict[str, Dict[str, Any]] = {
         "type": "histogram", "buckets": SECONDS_BUCKETS,
         "help": "Per-phase wall-time spans from cell profiles "
                 "(labels: phase; nondeterministic)."},
+    # -- setup plane ---------------------------------------------------
+    "repro_setup_ports_materialized_total": {
+        "type": "counter",
+        "help": "Port assignments whose shuffles ran (bulk flooding "
+                "and star-broadcast cells defer them and never do)."},
     # -- artifact stores -----------------------------------------------
     "repro_cellcache_fetch_total": {
         "type": "counter",

@@ -567,7 +567,7 @@ def _csr_views(setup: NetworkSetup):
     artifact (``_runtime`` — never serialized); otherwise the arrays
     are built from the adjacency dicts, preserving insertion order.
     """
-    from repro.graphs.compile import compiled_for_graph
+    from repro.graphs.compile import compiled_for_graph, graph_csr
 
     graph = setup.graph
     topo = compiled_for_graph(graph)
@@ -580,14 +580,7 @@ def _csr_views(setup: NetworkSetup):
         views = (topo.verts, indptr, indices, _csr_matrix(indptr, indices))
         topo._runtime["bulk_csr"] = views
         return views
-    verts = list(graph.vertices())
-    index = {v: i for i, v in enumerate(verts)}
-    indptr_list = [0]
-    indices_list: List[int] = []
-    for v in verts:
-        for u in graph.neighbors(v):
-            indices_list.append(index[u])
-        indptr_list.append(len(indices_list))
+    verts, _, indptr_list, indices_list = graph_csr(graph)
     indptr = _np.asarray(indptr_list, dtype=_np.int64)
     indices = _np.asarray(indices_list, dtype=_np.int64)
     return verts, indptr, indices, _csr_matrix(indptr, indices)

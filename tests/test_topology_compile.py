@@ -123,18 +123,15 @@ class TestArtifactFidelity:
         for v in graph.vertices():
             assert compiled.table(v) == legacy.table(v)
 
-    def test_prevalidated_matches_validated_constructor(self, built):
-        graph, _, _, _ = built
-        order = {
-            v: list(random.Random(99).sample(
-                list(graph.neighbors(v)), graph.degree(v)
-            ))
-            for v in graph.vertices()
-        }
-        validated = PortAssignment(graph, {v: list(o) for v, o in
-                                           order.items()})
-        fast = PortAssignment.prevalidated(graph, {v: list(o) for v, o in
-                                                   order.items()})
+    def test_array_form_matches_validated_constructor(self, built):
+        # The topology-backed form, read back as explicit orders and
+        # fed to the validated constructor, gives the same assignment.
+        graph, _, _, clone = built
+        fast = clone.random_ports(random.Random(99))
+        validated = PortAssignment(
+            graph,
+            {v: fast.neighbors_in_port_order(v) for v in graph.vertices()},
+        )
         for v in graph.vertices():
             assert fast.table(v) == validated.table(v)
             assert list(fast.ports(v)) == list(validated.ports(v))
