@@ -17,6 +17,8 @@ costs down per workload:
 ``warm_speedup = legacy_s / warm_s`` is the headline metric — the
 per-cell setup speedup a multi-trial sweep cell sees with a warm
 artifact store.  The acceptance bar is >= 5x on the D(k, q) case.
+``legacy_s`` includes the workload build, so a faster generator lowers
+``warm_speedup`` without any change in the cache.
 
 Workloads:
 

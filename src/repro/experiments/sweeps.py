@@ -18,6 +18,7 @@ Two execution paths share the aggregation:
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -358,6 +359,12 @@ def build_workload(spec: Dict[str, Any]) -> Workload:
         raise ReproError(
             f"unknown workload kind {kind!r}; known: {sorted(WORKLOADS)}"
         ) from None
+    try:
+        inspect.signature(factory).bind(**params)
+    except TypeError as exc:
+        raise ReproError(
+            f"bad arguments for workload {kind!r}: {exc}"
+        ) from None
     return factory(**params)
 
 
@@ -381,7 +388,10 @@ def sweep_cells(
     :class:`~repro.experiments.parallel.CellSpec`); ``backend="bulk"``
     routes the grid through the vectorized frontier lane (the engine
     recorded in each spec — and hence the cache key — becomes
-    ``"bulk"``)."""
+    ``"bulk"``).  The workload spec is resolved once up front (every
+    factory is lazy), so a bad spec raises :class:`ReproError` here
+    instead of failing every cell."""
+    build_workload(workload)
     engine = resolve_backend(engine, backend)
     return [
         CellSpec(

@@ -10,7 +10,9 @@ topology handles.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
@@ -244,6 +246,56 @@ def tree_from_prufer(prufer: Sequence[int]) -> Graph:
     return g
 
 
+# Doubles drawn per vectorized chunk: peak memory stays flat in n.
+_DRAW_CHUNK = 1 << 16
+
+
+def _gnp_pairs(
+    n: int, p: float, rng: random.Random, skip: Iterable[Tuple[int, int]] = ()
+) -> List[Tuple[int, int]]:
+    """The pairs ``(i, j)``, ``i < j``, that one ``rng.random() < p``
+    per pair accepts, visiting pairs in row-major order and skipping the
+    pairs in ``skip`` (which take no draw).
+
+    Bit-identical to that Python loop, vectorized: the caller's Mersenne
+    Twister state is loaded into a legacy ``numpy.random.RandomState``,
+    whose ``random_sample`` is CPython's ``random()`` double for double
+    (NEP 19 freezes the legacy stream).  ``rng`` is left exactly where
+    the loop would leave it, and the accepted pairs come back in the
+    loop's order.
+    """
+    # Row i of the upper triangle holds pairs (i, i+1..n-1); row_start[i]
+    # is the linear index of (i, i+1).
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * (n - 1) - rows * (rows - 1) // 2
+    ends = np.array(list(skip), dtype=np.int64).reshape(-1, 2)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    skipped = np.sort(row_start[lo] + (hi - lo - 1))
+    draws = n * (n - 1) // 2 - len(skipped)
+    if draws <= 0:
+        return []
+    version, internal, gauss_next = rng.getstate()
+    mt = np.random.RandomState()
+    mt.set_state(
+        ("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1])
+    )
+    hits = []
+    for start in range(0, draws, _DRAW_CHUNK):
+        u = mt.random_sample(min(_DRAW_CHUNK, draws - start))
+        hits.append(np.flatnonzero(u < p) + start)
+    _, key, pos = mt.get_state()[:3]
+    rng.setstate((version, (*key.tolist(), int(pos)), gauss_next))
+    drawn = np.concatenate(hits)
+    # Draw d is the linear pair d + (number of skipped pairs before it);
+    # skipped[k] - k counts the unskipped pairs before the k-th skip.
+    linear = drawn + np.searchsorted(
+        skipped - np.arange(len(skipped)), drawn, side="right"
+    )
+    i = np.searchsorted(row_start, linear, side="right") - 1
+    j = linear - row_start[i] + i + 1
+    return list(zip(i.tolist(), j.tolist()))
+
+
 def erdos_renyi(
     n: int,
     p: float,
@@ -257,6 +309,11 @@ def erdos_renyi(
     graph is connected (raising :class:`GraphError` after
     ``max_attempts`` failures), which is how benches obtain connected
     sparse workloads.
+
+    Stream contract: each attempt yields the same edges, in the same
+    insertion order, and leaves the RNG in the same state as one
+    ``rng.random() < p`` per pair ``(i, j)``, ``i < j``, in row-major
+    order.
     """
     if not 0.0 <= p <= 1.0:
         raise GraphError("p must be in [0, 1]")
@@ -265,10 +322,8 @@ def erdos_renyi(
     rng = _rng(seed)
     for _ in range(max_attempts):
         g = Graph(range(n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < p:
-                    g.add_edge(i, j)
+        for i, j in _gnp_pairs(n, p, rng):
+            g.add_edge(i, j)
         if not require_connected or is_connected(g):
             return g
     raise GraphError(
@@ -282,13 +337,16 @@ def connected_erdos_renyi(n: int, p: float, seed: RandomLike = None) -> Graph:
     Unlike rejection sampling this always succeeds, at the cost of a
     slight bias toward tree edges; ideal for benches that just need
     "connected sparse graph of ~pn²/2 edges".
+
+    Stream contract: after the tree's draws, the same edges, the same
+    insertion order and the same final RNG state as one
+    ``rng.random() < p`` per non-tree pair ``(i, j)``, ``i < j``, in
+    row-major order.
     """
     rng = _rng(seed)
     g = random_tree(n, rng) if n >= 1 else Graph()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not g.has_edge(i, j) and rng.random() < p:
-                g.add_edge(i, j)
+    for i, j in _gnp_pairs(n, p, rng, skip=g.edges()):
+        g.add_edge(i, j)
     return g
 
 

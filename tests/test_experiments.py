@@ -3,12 +3,15 @@
 import pytest
 
 from repro.core.flooding import Flooding
+from repro.errors import ReproError
 from repro.experiments.sweeps import (
     dense_er_all_awake,
     er_fraction_wake,
     er_single_wake,
     grid_corner_wake,
+    parallel_sweep,
     sweep,
+    sweep_cells,
     tree_random_wake,
 )
 from repro.experiments.table1 import (
@@ -71,6 +74,23 @@ class TestSweep:
             assert is_connected(g)
             assert awake
             assert all(v in g for v in awake)
+
+
+class TestBadWorkloadSpecs:
+    """A bad workload spec raises before any cell runs, instead of
+    coming back as an empty row list plus one failed cell per trial."""
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ReproError, match="unknown workload kind 'nope'"):
+            parallel_sweep("flooding", {"kind": "nope"}, [16])
+        with pytest.raises(ReproError, match="unknown workload kind"):
+            sweep_cells("flooding", {"avg_degree": 4.0}, [16])
+
+    def test_bad_kwargs_raise(self):
+        with pytest.raises(ReproError, match="er_single_wake"):
+            parallel_sweep(
+                "flooding", {"kind": "er_single_wake", "degree": 4.0}, [16]
+            )
 
 
 class TestTable1:

@@ -26,6 +26,7 @@ from repro.graphs.generators import (
     star_graph,
     tree_from_prufer,
 )
+from repro.graphs.graph import Graph
 from repro.graphs.traversal import (
     diameter,
     is_bipartite,
@@ -167,6 +168,138 @@ class TestErdosRenyi:
 
     def test_deterministic(self):
         assert erdos_renyi(15, 0.3, seed=7) == erdos_renyi(15, 0.3, seed=7)
+
+
+# The per-pair loops the vectorized G(n, p) draws replace: one
+# ``rng.random()`` per visited pair, in row-major order.  The generators
+# must match them edge for edge, in adjacency order, and leave a shared
+# RNG in the same state.
+def reference_erdos_renyi(
+    n, p, rng, require_connected=False, max_attempts=100
+):
+    for attempt in range(1, max_attempts + 1):
+        g = Graph(range(n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    g.add_edge(i, j)
+        if not require_connected or is_connected(g):
+            return g, attempt
+    raise GraphError("no connected sample")
+
+
+def reference_connected_erdos_renyi(n, p, rng):
+    g = random_tree(n, rng) if n >= 1 else Graph()
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not g.has_edge(i, j) and rng.random() < p:
+                g.add_edge(i, j)
+    return g
+
+
+def adjacency(g):
+    return [(v, list(g.neighbors(v))) for v in g.vertices()]
+
+
+def shared_rng(seed):
+    rng = random.Random(seed)
+    rng.gauss(0.0, 1.0)  # leaves a cached gauss_next to carry through
+    return rng
+
+
+# n=1024 spans several draw chunks; p=8/(n-1) is the sweeps' sparse regime.
+GNP_CASES = [
+    (n, p)
+    for n in (0, 1, 2, 3, 64, 257, 1024)
+    for p in sorted({0.0, min(1.0, 8 / max(1, n - 1)), 0.3, 1.0})
+]
+
+
+class TestGnpStreamContract:
+    @pytest.mark.parametrize("n,p", GNP_CASES)
+    def test_connected_er_matches_per_pair_loop(self, n, p):
+        rng, ref_rng = shared_rng(5), shared_rng(5)
+        g = connected_erdos_renyi(n, p, rng)
+        ref = reference_connected_erdos_renyi(n, p, ref_rng)
+        assert adjacency(g) == adjacency(ref)
+        assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("n,p", GNP_CASES)
+    def test_er_matches_per_pair_loop(self, n, p):
+        rng, ref_rng = shared_rng(6), shared_rng(6)
+        g = erdos_renyi(n, p, rng)
+        ref, _ = reference_erdos_renyi(n, p, ref_rng)
+        assert adjacency(g) == adjacency(ref)
+        assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_int_seed_matches_per_pair_loop(self, n):
+        p = 8 / (n - 1)
+        assert adjacency(connected_erdos_renyi(n, p, seed=11)) == adjacency(
+            reference_connected_erdos_renyi(n, p, random.Random(11))
+        )
+        ref, _ = reference_erdos_renyi(n, p, random.Random(11))
+        assert adjacency(erdos_renyi(n, p, seed=11)) == adjacency(ref)
+
+    def test_shared_rng_continues_the_stream(self):
+        rng, ref_rng = shared_rng(7), shared_rng(7)
+        for n in (3, 64, 257):
+            p = 8 / (n - 1)
+            g = connected_erdos_renyi(n, p, rng)
+            ref = reference_connected_erdos_renyi(n, p, ref_rng)
+            assert adjacency(g) == adjacency(ref)
+        assert rng.random() == ref_rng.random()
+
+    def test_require_connected_retries_continue_the_stream(self):
+        n, p = 64, 4.0 / 63
+        retried = [
+            s for s in range(40)
+            if reference_erdos_renyi(
+                n, p, random.Random(s), require_connected=True
+            )[1] > 1
+        ]
+        assert retried, "no seed needs a second attempt"
+        for s in retried[:3]:
+            rng, ref_rng = shared_rng(s), shared_rng(s)
+            g = erdos_renyi(n, p, rng, require_connected=True)
+            ref, _ = reference_erdos_renyi(
+                n, p, ref_rng, require_connected=True
+            )
+            assert adjacency(g) == adjacency(ref)
+            assert rng.getstate() == ref_rng.getstate()
+
+    def test_exhausted_retries_leave_the_loop_state(self):
+        rng, ref_rng = shared_rng(8), shared_rng(8)
+        with pytest.raises(GraphError):
+            erdos_renyi(
+                40, 0.01, rng, require_connected=True, max_attempts=3
+            )
+        with pytest.raises(GraphError):
+            reference_erdos_renyi(
+                40, 0.01, ref_rng, require_connected=True, max_attempts=3
+            )
+        assert rng.getstate() == ref_rng.getstate()
+
+    def test_no_per_pair_python_draws(self):
+        class CountingRandom(random.Random):
+            calls = 0
+
+            def random(self):
+                CountingRandom.calls += 1
+                return super().random()
+
+            # Defining getrandbits keeps randrange on the bit stream
+            # (random.Random.__init_subclass__ would otherwise route it
+            # through the overridden random()).
+            def getrandbits(self, k):
+                return super().getrandbits(k)
+
+        rng = CountingRandom(3)
+        g = connected_erdos_renyi(512, 8 / 511, rng)
+        assert CountingRandom.calls == 0
+        assert adjacency(g) == adjacency(
+            reference_connected_erdos_renyi(512, 8 / 511, random.Random(3))
+        )
 
 
 class TestRegular:
