@@ -65,6 +65,10 @@ CASE_FIELDS = (
 
 
 def _world(algorithm: str, graph: str, n: int):
+    """A world factory that rebuilds its setup on every call, unlike
+    :mod:`repro.check.worlds`, which builds one setup per world.  The
+    bench therefore times the explorer's prefix skip and incremental
+    fingerprints, but not the setup sharing."""
     algo = get_algorithm(algorithm)
     if graph == "class-g":
         cg = build_class_g(n)

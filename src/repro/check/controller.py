@@ -154,8 +154,9 @@ class ScheduleLog:
     replay needs nothing else — forced points have a unique answer);
     ``delays`` maps every message seq to its assigned delay, which is
     what :class:`ReplayDelay` feeds back into the plain engine.
-    ``states`` is filled only when the controller sets
-    ``record_states`` (one fingerprint per choice point).
+    ``states`` holds state fingerprints: one per choice point when the
+    controller sets ``record_states``; the explorer's controller
+    appends them itself, past its replayed prefix only.
     """
 
     choices: List[int] = field(default_factory=list)
@@ -393,6 +394,15 @@ class ControlledSchedule:
         self._next: Optional[Tuple[float, int, int, Any]] = None
         self._popped = 0
         self._aborted = False
+        # Fingerprint parts: the vertex order is fixed for the run, and
+        # a vertex's (channel's) repr only changes when an event is
+        # dispatched to it (a send is queued on it), so each part is
+        # cached until then.
+        self._order = sorted(engine._vstate, key=engine.setup.id_of)
+        self._vparts: Dict[Vertex, str] = {}
+        self._cparts: Dict[
+            Tuple[Vertex, Vertex], Tuple[Tuple[int, int], str]
+        ] = {}
         engine._enqueue = self.enqueue
 
     # -- the heap interface the engine loop uses ------------------------
@@ -409,6 +419,7 @@ class ControlledSchedule:
                 and self._wake_enabled(t_w)
             ):
                 self._wake_i += 1
+                self._vparts.pop(v_w, None)
                 self._next = (t_w, s_w, _WAKE, v_w)
                 return True
         enabled = self._enabled_events()
@@ -434,11 +445,13 @@ class ControlledSchedule:
             log.choices.append(idx)
             log.branch_sizes.append(len(enabled))
         ev = enabled[idx]
+        self._vparts.pop(ev.vertex, None)
         if ev.kind == "wake":
             self._wake_i += 1
             self._next = (ev.deadline, ev.seq, _WAKE, ev.vertex)
             return True
         chan = (ev.src, ev.vertex)
+        self._cparts.pop(chan, None)
         q = self._channels[chan]
         if q[0].seq == ev.seq:
             msg = q.popleft()
@@ -469,7 +482,9 @@ class ControlledSchedule:
     def enqueue(self, msg: Message) -> None:
         """Queue a send on its channel; its delivery time is assigned
         when the controller fires it."""
-        self._channels[msg.src, msg.dst].append(msg)
+        chan = (msg.src, msg.dst)
+        self._channels[chan].append(msg)
+        self._cparts.pop(chan, None)
 
     def finish(self, processed: int) -> None:
         log = self.log
@@ -578,39 +593,48 @@ class ControlledSchedule:
         otherwise equivalent.
         """
         engine = self._engine
-        setup = engine.setup
-        id_of = setup.id_of
+        id_of = engine.setup.id_of
+        vstate = engine._vstate
+        vparts = self._vparts
         nodes = []
-        for v in sorted(engine._vstate, key=id_of):
-            ctx, node = engine._vstate[v]
-            nodes.append(
-                (
-                    id_of(v),
-                    ctx._awake,
-                    ctx.wake_cause,
-                    _canon(node.__dict__),
-                    _rng_token(ctx._rng),
-                )
-            )
-        chans = []
-        for (src, dst), q in self._channels.items():
-            if q:
-                chans.append(
+        for v in self._order:
+            part = vparts.get(v)
+            if part is None:
+                ctx, node = vstate[v]
+                part = vparts[v] = repr(
                     (
-                        id_of(src),
-                        id_of(dst),
-                        tuple(_canon(m.payload) for m in q),
+                        id_of(v),
+                        ctx._awake,
+                        ctx.wake_cause,
+                        _canon(node.__dict__),
+                        _rng_token(ctx._rng),
                     )
                 )
+            nodes.append(part)
+        cparts = self._cparts
+        chans = []
+        for chan, q in self._channels.items():
+            if q:
+                part = cparts.get(chan)
+                if part is None:
+                    key = (id_of(chan[0]), id_of(chan[1]))
+                    part = cparts[chan] = (
+                        key,
+                        repr(key + (tuple(_canon(m.payload) for m in q),)),
+                    )
+                chans.append(part)
+        # Channel id pairs are unique, so sorting by them is sorting the
+        # whole (src_id, dst_id, payloads) tuples.  The blob is
+        # repr((nodes, chans, wake position, messages, bits)), joined
+        # from the cached parts.
         chans.sort()
-        blob = repr(
-            (
-                nodes,
-                chans,
-                self._wake_i,
-                engine.metrics.messages_total,
-                engine.metrics.bits_total,
-            )
+        metrics = engine.metrics
+        blob = "([%s], [%s], %r, %r, %r)" % (
+            ", ".join(nodes),
+            ", ".join(c for _, c in chans),
+            self._wake_i,
+            metrics.messages_total,
+            metrics.bits_total,
         )
         return blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 

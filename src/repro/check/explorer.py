@@ -53,8 +53,9 @@ from repro.obs.recorder import NULL_RECORDER
 from repro.sim.runner import run_wakeup
 from repro.sim.trace import Trace
 
-#: A world factory returns a fresh (setup, algorithm, adversary) triple
-#: per call; runs must not share mutable state.
+#: A world factory returns a (setup, algorithm, adversary) triple per
+#: call.  The setup and algorithm may be shared across calls (runs only
+#: read them); the adversary must be fresh per call.
 WorldFactory = Callable[[], tuple]
 
 
@@ -108,9 +109,11 @@ class _ExplorerShared:
 
 class _DfsController(ScheduleController):
     """Drives one run: replays ``prefix``, then takes the first
-    non-slept candidate everywhere, recording sibling branch points."""
+    non-slept candidate everywhere, recording sibling branch points.
 
-    record_states = True
+    States are recorded only past the prefix: replay is deterministic
+    (a diverging prefix raises), so every state on the replayed prefix
+    is one the run that enqueued this branch already recorded."""
 
     def __init__(self, shared: _ExplorerShared, prefix: Tuple[int, ...],
                  sleep: Dict[int, object]):
@@ -141,6 +144,8 @@ class _DfsController(ScheduleController):
     def choose(self, cp: ChoicePoint) -> int:
         shared = self._shared
         past_prefix = self._free_seen >= len(self._prefix)
+        if past_prefix:
+            self.log.states.append(cp.fingerprint())
         if not cp.free:
             # The sleep set handed to this run reflects the state
             # *after* the branch choice; it only evolves from there on.
@@ -229,7 +234,8 @@ def explore(
 ) -> ExploreResult:
     """Exhaustively explore the schedule space of one workload.
 
-    ``world`` builds a fresh (setup, algorithm, adversary) per run.
+    ``world`` returns the (setup, algorithm, adversary) of each run
+    (see :data:`WorldFactory`).
     When ``invariants`` is None the default set for the workload's
     algorithm attaches (:func:`default_invariants`).  A planted
     ``mutation`` disables POR automatically — the planted bugs break

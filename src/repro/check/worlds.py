@@ -1,10 +1,12 @@
 """Deterministic world factories for ``check`` / ``worstcase``.
 
-A *world* is a zero-argument callable returning a fresh
+A *world* is a zero-argument callable returning a
 ``(setup, algorithm, adversary)`` triple.  The explorer, shrinker, and
 worst-case search re-execute runs and need bit-equal starting states,
-so topology, wake set, and stagger are resolved exactly once and the
-factory rebuilds an identical world per call.
+so topology, wake set, stagger and the :class:`NetworkSetup` are
+resolved exactly once.  Every call returns that same setup and
+algorithm, which runs only read (a setup's lazy ports materialize on
+the first run and stay fixed), and a fresh adversary.
 
 Extracted from the CLI so the :mod:`repro.serve` daemon (whose job
 specs arrive as plain dicts over a socket) and the ``repro check`` /
@@ -68,12 +70,11 @@ def build_check_world(
     times = {v: i * stagger for i, v in enumerate(woken)}
     knowledge = Knowledge.KT1 if algo.requires_kt1 else Knowledge.KT0
     bandwidth = "CONGEST" if algo.congest_safe else "LOCAL"
-    setup_seed = seed + 2
+    setup = make_setup(
+        g, knowledge=knowledge, bandwidth=bandwidth, seed=seed + 2
+    )
 
     def world():
-        setup = make_setup(
-            g, knowledge=knowledge, bandwidth=bandwidth, seed=setup_seed
-        )
         return (
             setup,
             algo,
@@ -90,11 +91,11 @@ def build_class_g_world(algo, n: int, seed: int = 0) -> Tuple[World, Dict]:
     cg = build_class_g(n)
     knowledge = Knowledge.KT1 if algo.requires_kt1 else Knowledge.KT0
     times = {v: 0.0 for v in cg.centers}
+    setup = cg.make_setup(
+        seed=seed + 2, bandwidth="LOCAL", knowledge=knowledge
+    )
 
     def world():
-        setup = cg.make_setup(
-            seed=seed + 2, bandwidth="LOCAL", knowledge=knowledge
-        )
         return (
             setup,
             algo,

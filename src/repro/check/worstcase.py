@@ -166,7 +166,7 @@ def worstcase_search(
 ) -> WorstCaseResult:
     """Greedy + beam search for the worst schedule of one workload.
 
-    ``world`` is a fresh-(setup, algorithm, adversary) factory as in
+    ``world`` is a (setup, algorithm, adversary) factory as in
     :func:`repro.check.explorer.explore`.  ``laziness`` defaults to 1.0
     for the time objective (maximal legal delivery times) and 0.0
     otherwise — message counts depend on orderings, not timings, and

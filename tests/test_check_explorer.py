@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.check.explorer as explorer
 from repro.check.controller import MUTATION_SKIP_FIFO, ReplayController
 from repro.check.explorer import explore, random_probe
 from repro.check.invariants import (
@@ -19,6 +20,7 @@ from repro.check.invariants import (
     default_invariants,
 )
 from repro.check.shrink import shrink_violation
+from repro.check.worlds import build_check_world, build_class_g_world
 from repro.core import get_algorithm
 from repro.graphs.generators import (
     complete_graph,
@@ -103,6 +105,93 @@ class TestReductionSoundness:
         deduped = explore(world, dedup=True)
         full = explore(world, dedup=False, por=False)
         assert deduped.outcomes <= full.outcomes
+
+
+class _RecordEveryState(explorer._DfsController):
+    """Reference: fingerprints every choice point, replayed prefix
+    included, as the explorer did before it skipped the prefix."""
+
+    record_states = True
+
+
+def _explore_counting_runs(world, **kw):
+    runs = [0]
+
+    def counted():
+        runs[0] += 1
+        return world()
+
+    return explore(counted, **kw), runs[0]
+
+
+class TestPrefixSkip:
+    """States on a replayed prefix are not re-hashed; the explorer's
+    results must equal those of a controller that hashes them all."""
+
+    @pytest.mark.parametrize(
+        "world,kw",
+        [
+            (_world(cycle_graph, 4, "flooding", {0: 0.0, 2: 0.3}), {}),
+            (_world(cycle_graph, 4, "flooding", {0: 0.0, 2: 0.3}),
+             {"por": False}),
+            (_world(cycle_graph, 4, "flooding", {0: 0.0}),
+             {"dedup": False, "por": False}),
+            (_world(path_graph, 4, "echo-flooding", {0: 0.0}),
+             {"mutation": MUTATION_SKIP_FIFO, "max_schedules": 5_000}),
+            # Truncates mid-search: both stop at the same run.
+            (_world(cycle_graph, 4, "flooding", {0: 0.0, 2: 0.3}),
+             {"max_states": 150}),
+            (_world(complete_graph, 3, "dfs-rank", {0: 0.0},
+                    Knowledge.KT1), {}),
+        ],
+        ids=["por", "no-por", "no-dedup", "skip-fifo", "max-states",
+             "dfs-rank"],
+    )
+    def test_matches_every_state_reference(self, monkeypatch, world, kw):
+        got, got_runs = _explore_counting_runs(world, **kw)
+        monkeypatch.setattr(explorer, "_DfsController", _RecordEveryState)
+        want, want_runs = _explore_counting_runs(world, **kw)
+        assert got.states == want.states
+        assert got.outcomes == want.outcomes
+        assert got.stats == want.stats
+        assert got.completed == want.completed
+        assert got_runs == want_runs
+        assert [v.choices for v in got.violations] == [
+            v.choices for v in want.violations
+        ]
+        if "max_states" in kw:
+            assert not got.completed
+        if "mutation" in kw:
+            assert got.violations
+
+
+class TestSharedSetup:
+    """A world builds its setup once; every run shares and only reads
+    it, and gets a fresh adversary."""
+
+    @pytest.mark.parametrize(
+        "build,kw",
+        [
+            (lambda: build_check_world(
+                get_algorithm("echo-flooding"), 5, graph="cycle"), {}),
+            (lambda: build_class_g_world(get_algorithm("flooding"), 4),
+             {"max_states": 500}),
+        ],
+        ids=["check-world", "class-g-world"],
+    )
+    def test_runs_share_an_unchanged_setup(self, build, kw):
+        world, _ = build()
+        setup, algo, adversary = world()
+        again = world()
+        assert again[0] is setup
+        assert again[1] is algo
+        assert again[2] is not adversary
+        explore(world, **kw)
+        fresh = build()[0]()[0]
+        assert fresh is not setup
+        assert setup.ids == fresh.ids
+        for v in fresh.graph.vertices():
+            assert setup.ports.table(v) == fresh.ports.table(v)
 
 
 class TestContainment:
