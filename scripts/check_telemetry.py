@@ -7,24 +7,19 @@ Checks, in order:
    :func:`repro.obs.events.validate_event` (schema version, required
    fields, cell_end statuses).  Exception: a contiguous run of
    malformed lines at the very *end* of the stream is skipped and
-   counted, not flagged — a producer killed mid-write (routine once
-   the serve daemon exists) leaves exactly that torn tail.  Malformed
+   counted, not flagged — a producer killed mid-write leaves exactly
+   that torn tail.  Malformed
    lines *followed by* valid ones are still violations;
 2. cell lifecycle: every cell key reaches exactly as many terminal
    events (``cell_end`` or ``cell_timeout``) as it has ``cell_start``
    events, and no terminal event appears without a ``cell_start``.
-   Count-matching (rather than exactly-one) is what a daemon stream
-   needs: the same cell key legitimately recurs once per job that
-   touches it;
-3. job lifecycle (daemon streams): per job id, ``job_start`` events
-   never exceed ``job_queued`` and ``job_end`` never exceeds
-   ``job_start`` — incomplete lifecycles are fine (it is a
-   flight-recorder format), inverted ones are not;
-4. every *executed* ok cell (``cell_end`` with ``status=ok`` and
+   Count-matching (rather than exactly-one) is what a grid that lists
+   a size twice needs: its cell key legitimately starts twice;
+3. every *executed* ok cell (``cell_end`` with ``status=ok`` and
    ``cached=false``) has at least one ``phase_end`` event for its key
    — the profiling guarantee the engines' implicit "engine" phase
    provides;
-5. every ``metrics_snapshot`` event carries a schema-valid registry
+4. every ``metrics_snapshot`` event carries a schema-valid registry
    snapshot (sections present, non-negative counters, histogram bucket
    sanity via :func:`repro.obs.metrics.validate_snapshot`), and
    counters are monotone non-decreasing across successive snapshots —
@@ -103,7 +98,7 @@ def check_stream(lines, min_cells: int = 0, expect_topology_builds=None):
     errors: List[str] = []
     events: List[Dict[str, object]] = []
     # Parse in two passes over the buffered lines so malformed lines at
-    # the *tail* (a writer killed mid-record — normal daemon debris)
+    # the *tail* (a writer killed mid-record leaves exactly that)
     # can be told apart from corruption in the middle of the stream.
     numbered = [
         (lineno, line)
@@ -170,7 +165,6 @@ def check_stream(lines, min_cells: int = 0, expect_topology_builds=None):
             errors.append(
                 f"executed cell {key[:12]} has no phase_end event"
             )
-    errors.extend(check_job_lifecycle(events))
     if len(started) < min_cells:
         errors.append(
             f"only {len(started)} cell_start events (require >= {min_cells})"
@@ -203,39 +197,6 @@ def check_stream(lines, min_cells: int = 0, expect_topology_builds=None):
         "skipped_tail": skipped_tail,
     }
     return errors, summary
-
-
-def check_job_lifecycle(events) -> List[str]:
-    """Ordering violations in the serve daemon's ``job_*`` events.
-
-    Per job id the counts must nest: ``job_end <= job_start <=
-    job_queued``.  Truncated lifecycles (queued but never started,
-    started but no end yet) are legitimate — the stream is a flight
-    recorder, and a killed daemon leaves exactly that."""
-    errors: List[str] = []
-    queued: Counter = Counter()
-    started: Counter = Counter()
-    ended: Counter = Counter()
-    for e in events:
-        kind = e.get("kind")
-        if kind == "job_queued":
-            queued[str(e.get("job"))] += 1
-        elif kind == "job_start":
-            started[str(e.get("job"))] += 1
-        elif kind == "job_end":
-            ended[str(e.get("job"))] += 1
-    for jid in set(queued) | set(started) | set(ended):
-        if started[jid] > queued[jid]:
-            errors.append(
-                f"job {jid}: {started[jid]} job_start events but only "
-                f"{queued[jid]} job_queued"
-            )
-        if ended[jid] > started[jid]:
-            errors.append(
-                f"job {jid}: {ended[jid]} job_end events but only "
-                f"{started[jid]} job_start"
-            )
-    return errors
 
 
 def main(argv=None) -> int:

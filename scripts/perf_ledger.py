@@ -8,7 +8,7 @@ an installed package (CI invokes this file directly).
 Subcommands:
 
 * ``record BENCH [--profile P]`` — validate one bench output
-  (schema 1 or 2 envelope) and append its per-case metrics as one
+  (schema 2 envelope) and append its per-case metrics as one
   ledger entry.  With no BENCH arguments, ingests every committed
   ``BENCH_*.json`` whose profile is known (the seeding path).
 * ``show`` — the per-profile history with geometric-mean headlines.
@@ -69,7 +69,7 @@ def main(argv=None) -> int:
     )
     p_rec.add_argument(
         "--profile", choices=sorted(PROFILES), default=None,
-        help="force the profile (required for ambiguous schema-1 files)",
+        help="expected profile; a file declaring another is an error",
     )
 
     sub.add_parser("show", help="print the per-profile history")

@@ -32,14 +32,7 @@ Subcommands:
   hit-rates, per-phase p50/p99) rendered from a snapshot file;
 * ``perf``    — the append-only perf ledger over the ``BENCH_*.json``
   outputs: ``record`` / ``show`` / ``check`` (the unified regression
-  gate);
-* ``serve``   — long-lived job daemon: accepts sweep/check/worstcase
-  specs over a unix socket, streams ``repro.obs`` events back, and
-  deduplicates repeat submissions against the warm caches;
-* ``submit``  — client for ``serve``: send one job spec and stream its
-  events until the final summary line;
-* ``jobs``    — client for ``serve``: list jobs, show one job's
-  status, or dump daemon stats.
+  gate).
 
 Cell-based commands (``table1``, ``sweep``) accept ``--telemetry PATH``
 to stream structured events (:mod:`repro.obs`) to a JSONL file and
@@ -75,6 +68,7 @@ from typing import Dict, List, Optional
 from repro.analysis.fitting import fit_power_law
 from repro.analysis.report import render_table
 from repro.core import algorithm_names, get_algorithm
+from repro.errors import ReproError
 from repro.experiments.parallel import DEFAULT_CACHE_DIR, ParallelSweepExecutor
 from repro.graphs.compile import DEFAULT_TOPOLOGY_DIR, TopologyStore
 from repro.experiments.storage import merge_records
@@ -525,8 +519,8 @@ from repro.check.worlds import CHECK_GRAPHS as _CHECK_GRAPHS
 
 def _check_world(args, algo):
     """Deterministic world factory for ``check``/``worstcase`` —
-    delegates to :func:`repro.check.worlds.build_check_world`, the
-    construction path shared with :mod:`repro.serve` job specs."""
+    delegates to :func:`repro.check.worlds.build_check_world`, the one
+    construction path for named check worlds."""
     from repro.check.worlds import build_check_world
 
     return build_check_world(
@@ -895,7 +889,6 @@ def _cmd_atlas_show(args) -> int:
 
 
 def _cmd_atlas_check(args) -> int:
-    from repro.errors import ReproError
     from repro.opt import (
         check_atlas,
         entry_is_stale,
@@ -983,17 +976,22 @@ def _make_executor(args) -> ParallelSweepExecutor:
     handlers can ``close()`` it (flushing the JSONL file) in a
     ``finally`` block; closing the default NULL_RECORDER is a no-op.
     """
-    return ParallelSweepExecutor(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        cell_timeout=args.cell_timeout,
-        recorder=_make_recorder(args),
-        progress=_make_progress(args),
-        topology_dir=args.topology_dir,
-        use_topology_store=(False if args.no_topology_store else None),
-        backend=getattr(args, "exec_backend", "fork"),
-    )
+    recorder = _make_recorder(args)
+    try:
+        return ParallelSweepExecutor(
+            workers=args.workers,
+            cache_dir=args.cache_dir,
+            use_cache=not args.no_cache,
+            cell_timeout=args.cell_timeout,
+            recorder=recorder,
+            progress=_make_progress(args),
+            topology_dir=args.topology_dir,
+            use_topology_store=(False if args.no_topology_store else None),
+            backend=getattr(args, "exec_backend", "fork"),
+        )
+    except ReproError:
+        recorder.close()
+        raise
 
 
 def _cmd_sweep(args) -> int:
@@ -1010,27 +1008,31 @@ def _cmd_sweep(args) -> int:
         sizes = [n for n in (16 << i for i in range(30)) if n <= args.max_n]
         if not sizes:
             sizes = [args.max_n]
-    executor = _make_executor(args)
     try:
-        rows, outcomes = parallel_sweep(
-            args.algorithm,
-            {
-                "kind": "er_single_wake",
-                "avg_degree": args.degree,
-                "seed": args.seed,
-            },
-            sizes=sizes,
-            executor=executor,
-            engine=engine,
-            knowledge=knowledge,
-            bandwidth=bandwidth,
-            trials=args.trials,
-            seed=args.seed,
-            flight_recorder=args.flight_recorder,
-            backend=args.backend,
-        )
-    finally:
-        executor.recorder.close()
+        executor = _make_executor(args)
+        try:
+            rows, outcomes = parallel_sweep(
+                args.algorithm,
+                {
+                    "kind": "er_single_wake",
+                    "avg_degree": args.degree,
+                    "seed": args.seed,
+                },
+                sizes=sizes,
+                executor=executor,
+                engine=engine,
+                knowledge=knowledge,
+                bandwidth=bandwidth,
+                trials=args.trials,
+                seed=args.seed,
+                flight_recorder=args.flight_recorder,
+                backend=args.backend,
+            )
+        finally:
+            executor.recorder.close()
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(render_table([r.as_dict() for r in rows]))
     failed = [o for o in outcomes if not o.ok]
     for o in failed:
@@ -1071,136 +1073,6 @@ def _cmd_sweep(args) -> int:
         )
         print(f"merged {len(outcomes)} cell records into {args.out}")
     return 1 if failed else 0
-
-
-def _cmd_serve(args) -> int:
-    from repro.obs.metrics import get_registry
-    from repro.serve import ServeConfig, SweepServer
-
-    config = ServeConfig(
-        socket_path=args.socket,
-        max_queue=args.max_queue,
-        max_cells=args.max_cells,
-        job_timeout=args.job_timeout if args.job_timeout > 0 else None,
-        cell_timeout=args.cell_timeout if args.cell_timeout > 0 else None,
-        workers=args.workers or 0,
-        cache_dir=args.cache_dir,
-        topology_dir=args.topology_dir,
-        use_cache=not args.no_cache,
-        backend=args.backend,
-    )
-    # Under --metrics the wrapper in main() installed a live global
-    # registry whose snapshot lands on disk at exit; route the serve
-    # instruments into it.  Without it the daemon keeps a private live
-    # registry, readable over the socket via `repro jobs --stats`.
-    registry = get_registry()
-    server = SweepServer(
-        config,
-        recorder=_make_recorder(args),
-        metrics=registry if registry.enabled else None,
-    )
-    try:
-        server.start()
-    except OSError as exc:
-        print(f"error: cannot bind {config.socket_path}: {exc}",
-              file=sys.stderr)
-        return 1
-    print(
-        f"serving on {config.socket_path} "
-        f"(queue<={config.max_queue}, cells/job<={config.max_cells}, "
-        f"job budget {_fmt_budget(config.job_timeout)}, "
-        f"cell cap {_fmt_budget(config.cell_timeout)})",
-        file=sys.stderr,
-    )
-    try:
-        server.serve_forever()
-    finally:
-        server.log.close()
-    print("daemon stopped", file=sys.stderr)
-    return 0
-
-
-def _fmt_budget(budget) -> str:
-    return "unbounded" if budget is None else f"{budget:g}s"
-
-
-def _load_job_spec(arg: str):
-    """Job spec from a JSON literal, ``@file``, or ``-`` (stdin)."""
-    if arg == "-":
-        text = sys.stdin.read()
-    elif arg.startswith("@"):
-        text = Path(arg[1:]).read_text(encoding="utf-8")
-    else:
-        text = arg
-    spec = json.loads(text)
-    if not isinstance(spec, dict):
-        raise ValueError("job spec must be a JSON object")
-    return spec
-
-
-def _cmd_submit(args) -> int:
-    from repro.serve import ServeClient, ServeError, is_event
-
-    try:
-        spec = _load_job_spec(args.spec)
-    except (OSError, ValueError) as exc:
-        print(f"error: bad job spec: {exc}", file=sys.stderr)
-        return 1
-    client = ServeClient(args.socket, timeout=args.timeout)
-    try:
-        if args.no_watch:
-            ack = client.submit(spec)
-            print(json.dumps(ack, sort_keys=True))
-            return 0 if ack.get("ok") else 1
-        final = None
-        for obj in client.submit_watch(spec):
-            if is_event(obj):
-                print(json.dumps(obj, sort_keys=True))
-            else:
-                final = obj
-        print(json.dumps(final, sort_keys=True))
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if final is None or not final.get("ok", True):
-        return 1
-    job = final.get("job", {})
-    return 0 if job.get("state", "done") == "done" else 1
-
-
-def _cmd_jobs(args) -> int:
-    from repro.serve import ServeClient, ServeError
-
-    client = ServeClient(args.socket, timeout=args.timeout)
-    try:
-        if args.stats:
-            print(json.dumps(client.stats(), indent=2, sort_keys=True))
-            return 0
-        if args.job:
-            print(json.dumps(
-                client.status(args.job), indent=2, sort_keys=True
-            ))
-            return 0
-        jobs = client.jobs()
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not jobs:
-        print("no jobs")
-        return 0
-    rows = [
-        {
-            "id": j.get("id", "?"),
-            "kind": j.get("kind", "?"),
-            "algorithm": j.get("algorithm", "?"),
-            "state": j.get("state", "?"),
-            "clients": j.get("clients", 0),
-            "duration": round(float(j.get("duration") or 0.0), 3),
-        }
-        for j in jobs
-    ]
-    print(render_table(rows))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1595,7 +1467,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_perf_rec.add_argument(
         "--profile", default=None,
-        help="force the profile (required for ambiguous schema-1 files)",
+        help="expected profile; a file declaring another is an error",
     )
     perf_sub.add_parser("show", help="print the per-profile history")
     p_perf_chk = perf_sub.add_parser(
@@ -1609,116 +1481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf_chk.add_argument(
         "--max-regression", type=float, default=0.30,
         help="tolerated fractional metric drop (default 0.30)",
-    )
-
-    from repro.serve.protocol import DEFAULT_SOCKET
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="long-lived job daemon over a unix socket",
-        description=(
-            "Run the sweep/check/worstcase job daemon. Clients submit "
-            "JSON job specs over the unix socket (repro submit) and "
-            "stream schema-versioned repro.obs events back. Admission "
-            "is bounded (queue + per-job cell/wall budgets) and "
-            "duplicate submissions attach to the in-flight or cached "
-            "job instead of re-running it."
-        ),
-    )
-    p_serve.add_argument(
-        "--socket", default=DEFAULT_SOCKET,
-        help="unix socket path (default: %(default)s)",
-    )
-    p_serve.add_argument(
-        "--max-queue", type=int, default=64,
-        help="admission queue bound; a full queue rejects "
-        "(default: %(default)s)",
-    )
-    p_serve.add_argument(
-        "--max-cells", type=int, default=512,
-        help="largest per-job cell budget (default: %(default)s)",
-    )
-    p_serve.add_argument(
-        "--job-timeout", type=float, default=120.0,
-        help="per-job wall budget in seconds, 0 = unbounded "
-        "(default: %(default)s)",
-    )
-    p_serve.add_argument(
-        "--cell-timeout", type=float, default=30.0,
-        help="per-cell budget cap in seconds, 0 = unbounded "
-        "(default: %(default)s)",
-    )
-    p_serve.add_argument(
-        "--workers", type=int, default=0,
-        help="executor worker processes (default: in-process cells)",
-    )
-    p_serve.add_argument(
-        "--backend",
-        choices=("serial", "fork", "steal"),
-        default="steal",
-        help=(
-            "execution backend for multi-worker jobs; the default "
-            "work-stealing pool interleaves queued jobs' cells "
-            "(largest first) instead of running head-of-line "
-            "(default: %(default)s)"
-        ),
-    )
-    p_serve.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the on-disk cell result cache",
-    )
-    p_serve.add_argument(
-        "--cache-dir", default=str(DEFAULT_CACHE_DIR),
-        help="cell cache location (default: %(default)s)",
-    )
-    p_serve.add_argument(
-        "--topology-dir", default=str(DEFAULT_TOPOLOGY_DIR),
-        help="compiled-topology store (default: %(default)s)",
-    )
-    _add_telemetry_flags(p_serve)
-
-    p_submit = sub.add_parser(
-        "submit", help="submit a job to the serve daemon"
-    )
-    p_submit.add_argument(
-        "spec",
-        help="job spec: a JSON object, @FILE, or - for stdin "
-        '(e.g. \'{"kind": "sweep", "algorithm": "flooding"}\')',
-    )
-    p_submit.add_argument(
-        "--socket", default=DEFAULT_SOCKET,
-        help="daemon socket path (default: %(default)s)",
-    )
-    p_submit.add_argument(
-        "--timeout", type=float, default=300.0,
-        help="client-side socket timeout in seconds "
-        "(default: %(default)s)",
-    )
-    p_submit.add_argument(
-        "--no-watch", action="store_true",
-        help="submit and print the ack instead of streaming events "
-        "until the job finishes",
-    )
-
-    p_jobs = sub.add_parser(
-        "jobs", help="list the serve daemon's jobs"
-    )
-    p_jobs.add_argument(
-        "job", nargs="?", default=None,
-        help="job id: print that job's full status instead of the list",
-    )
-    p_jobs.add_argument(
-        "--socket", default=DEFAULT_SOCKET,
-        help="daemon socket path (default: %(default)s)",
-    )
-    p_jobs.add_argument(
-        "--timeout", type=float, default=30.0,
-        help="client-side socket timeout (default: %(default)s)",
-    )
-    p_jobs.add_argument(
-        "--stats", action="store_true",
-        help="print daemon stats (queue depth, uptime, metrics) "
-        "instead of the job list",
     )
 
     return parser
@@ -1851,9 +1613,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "metrics": _cmd_metrics,
         "top": _cmd_top,
         "perf": _cmd_perf,
-        "serve": _cmd_serve,
-        "submit": _cmd_submit,
-        "jobs": _cmd_jobs,
     }
     metrics_path = getattr(args, "metrics", None)
     if not metrics_path:

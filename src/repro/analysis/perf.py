@@ -17,11 +17,8 @@ disjoint schemas.  This module gates them all through one check
   (shared cases only; a case below ``1 - max_regression`` of its
   ledger value fails; faster never fails).
 
-Bench envelopes: schema 1 (legacy, no ``profile`` field) and schema 2
-(``schema``/``created``/``python``/``profile``/``cases``) are both
-accepted; profile inference for schema-1 files falls back to field
-matching and is ambiguous between ``engine`` and ``bulk`` (identical
-case fields), so callers pass the profile explicitly where it matters.
+Bench envelopes are schema 2 (``schema``/``created``/``python``/
+``profile``/``cases``): every envelope names its own profile.
 """
 
 from __future__ import annotations
@@ -136,9 +133,9 @@ PROFILES: Dict[str, Dict[str, Any]] = {
     },
 }
 
-#: Bench envelope versions this module understands.  Schema 2 adds the
+#: Bench envelope versions this module understands.  Schema 2 has the
 #: required top-level ``profile`` field.
-BENCH_SCHEMAS = (1, 2)
+BENCH_SCHEMAS = (2,)
 
 
 class PerfError(Exception):
@@ -152,34 +149,12 @@ def case_key(case: Mapping[str, Any], profile: str) -> str:
     return "/".join(str(case[f]) for f in fields)
 
 
-def infer_profile(payload: Mapping[str, Any]) -> Optional[str]:
-    """Best-effort profile for a bench payload.
-
-    Schema-2 envelopes name their profile; schema-1 envelopes are
-    matched by case fields.  Returns ``None`` when no profile matches
-    unambiguously (notably: schema-1 ``engine`` vs ``bulk``, whose
-    case fields are identical).
-    """
-    declared = payload.get("profile")
-    if declared is not None:
-        return declared if declared in PROFILES else None
-    cases = payload.get("cases") or []
-    if not cases:
-        return None
-    first = cases[0]
-    matches = [
-        name
-        for name, prof in PROFILES.items()
-        if all(f in first for f in prof["required_fields"])
-    ]
-    return matches[0] if len(matches) == 1 else None
-
-
 def load_bench(
     path: Path, profile: Optional[str] = None
 ) -> Tuple[str, Dict[str, Any]]:
     """Read and validate one bench payload; returns
-    ``(profile, payload)``.  Accepts schema 1 and 2 envelopes."""
+    ``(profile, payload)``.  The profile is the one the envelope
+    declares; a caller-supplied ``profile`` must agree with it."""
     try:
         payload = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -193,18 +168,14 @@ def load_bench(
             f"(known: {BENCH_SCHEMAS})"
         )
     declared = payload.get("profile")
-    if schema >= 2 and declared not in PROFILES:
+    if declared not in PROFILES:
         raise PerfError(
             f"{path}: schema 2 requires a known 'profile' field "
             f"(got {declared!r})"
         )
     if profile is None:
-        profile = infer_profile(payload)
-        if profile is None:
-            raise PerfError(
-                f"{path}: cannot infer profile; pass it explicitly"
-            )
-    elif declared is not None and declared != profile:
+        profile = declared
+    elif declared != profile:
         raise PerfError(
             f"{path}: declares profile {declared!r}, caller said "
             f"{profile!r}"
@@ -362,7 +333,7 @@ def check(
     baseline-checker semantics.  A profile with *no* ledger history is
     **seeded** from the candidate and reported as "seeded, no
     baseline" — not failed: the first bench of a brand-new profile
-    (e.g. a future ``serve`` profile) must be able to pass CI, and the
+    must be able to pass CI, and the
     appended entry becomes the baseline the next run gates against.
     """
     out = stream if stream is not None else sys.stdout

@@ -41,12 +41,12 @@ def read_events(
     """Parse a telemetry JSONL file into ``(events, skipped)``.
 
     ``skipped`` counts malformed or schema-invalid lines.  A producer
-    killed mid-write (the daemon makes this routine — SIGKILLed jobs,
-    full disks, client disconnects) leaves a torn final line, so the
-    default mode skips and *counts* bad lines instead of failing; the
-    file is opened with ``errors="replace"`` so even a line torn inside
-    a multi-byte sequence cannot raise ``UnicodeDecodeError``.  With
-    ``strict`` the first bad line raises :class:`ValueError`.
+    killed mid-write (a SIGKILLed run, a full disk) leaves a torn
+    final line, so the default mode skips and *counts* bad lines
+    instead of failing; the file is opened with ``errors="replace"``
+    so even a line torn inside a multi-byte sequence cannot raise
+    ``UnicodeDecodeError``.  With ``strict`` the first bad line raises
+    :class:`ValueError`.
     """
     if isinstance(source, (str, Path)):
         with open(

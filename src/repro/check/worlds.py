@@ -8,9 +8,8 @@ resolved exactly once.  Every call returns that same setup and
 algorithm, which runs only read (a setup's lazy ports materialize on
 the first run and stay fixed), and a fresh adversary.
 
-Extracted from the CLI so the :mod:`repro.serve` daemon (whose job
-specs arrive as plain dicts over a socket) and the ``repro check`` /
-``repro worstcase`` subcommands share one construction path.
+The ``repro check`` / ``repro worstcase`` subcommands and the
+explorer's reference tests share this one construction path.
 """
 
 from __future__ import annotations

@@ -3,16 +3,15 @@
 Historically the per-cell budget in
 :mod:`repro.experiments.parallel` was enforced with ``SIGALRM`` —
 which only the *main* thread may arm (``signal.signal`` raises
-``ValueError`` anywhere else), so a ``cell_timeout`` passed from a
-worker thread (exactly what the :mod:`repro.serve` daemon's job
-workers do) was silently never enforced.  This module replaces the
+``ValueError`` anywhere else), so a ``cell_timeout`` passed from any
+other thread was silently never enforced.  This module replaces the
 alarm with a :class:`Watchdog`: a one-shot timer thread that, on
 expiry, raises the requested exception *inside the watched thread* via
 ``PyThreadState_SetAsyncExc``.
 
 Properties and limits:
 
-* Works from any thread (main, daemon worker, forked pool worker) and
+* Works from any thread (main, helper thread, forked pool worker) and
   on any platform — no signals involved.
 * The exception is delivered at the next bytecode boundary, which
   interrupts pure-Python loops (all the simulation engines) promptly.

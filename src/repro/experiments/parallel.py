@@ -190,14 +190,31 @@ def cell_key(spec: CellSpec) -> str:
 # ----------------------------------------------------------------------
 # Spec -> live objects
 # ----------------------------------------------------------------------
-def _build_algorithm(name: str, params: Dict[str, Any]):
+def algorithm_factory(name: str):
+    """The factory a cell's ``algorithm`` names: a registry name, or
+    ``module:attr`` for any importable callable.  Raises
+    :class:`ReproError` when the name resolves to nothing."""
     if ":" in name:
         module_name, attr = name.split(":", 1)
-        factory = getattr(importlib.import_module(module_name), attr)
-    else:
-        from repro.core.registry import get_factory
+        try:
+            return getattr(importlib.import_module(module_name), attr)
+        except (ImportError, AttributeError) as exc:
+            raise ReproError(
+                f"unknown algorithm {name!r}: {exc}"
+            ) from None
+    from repro.core.registry import algorithm_names, get_factory
 
-        factory = get_factory(name)
+    try:
+        return get_factory(name)
+    except KeyError:
+        raise ReproError(
+            f"unknown algorithm {name!r}; known: {algorithm_names()} "
+            "or 'module:attr'"
+        ) from None
+
+
+def _build_algorithm(name: str, params: Dict[str, Any]):
+    factory = algorithm_factory(name)
     return factory(**params) if params else factory()
 
 
@@ -357,10 +374,9 @@ def run_cell(
     timer thread that raises into this thread at the next bytecode
     boundary, interrupting even a CPU-bound engine loop — so a slow
     cell costs its budget and nothing more.  Unlike the original
-    ``SIGALRM`` implementation this works from *any* thread: the
-    :mod:`repro.serve` daemon's job workers run cells off the main
-    thread, where an alarm can never be armed (the budget used to be
-    silently unenforced there).
+    ``SIGALRM`` implementation this works from *any* thread, including
+    a caller that runs cells off the main thread, where an alarm can
+    never be armed.
     When the spec enables a flight recorder, every failure payload
     carries ``trace_tail`` — the last events before things went wrong.
 
@@ -580,7 +596,8 @@ class ParallelSweepExecutor:
         event per sweep.
     cell_timeout:
         Per-cell wall-clock budget in seconds, enforced inside the
-        worker; an overrun becomes a ``"timeout"`` outcome.
+        worker; an overrun becomes a ``"timeout"`` outcome.  ``None``
+        means unbounded; a budget <= 0 raises :class:`ReproError`.
     chunk_size:
         Cells per submitted task; ``None`` picks a size that gives each
         worker ~4 chunks, amortizing IPC without starving the pool.
@@ -636,6 +653,11 @@ class ParallelSweepExecutor:
             raise ReproError(
                 f"unknown execution backend {backend!r}; "
                 f"known: {sorted(BACKENDS)}"
+            )
+        if cell_timeout is not None and not cell_timeout > 0:
+            raise ReproError(
+                f"cell_timeout must be a positive number of seconds, "
+                f"got {cell_timeout!r}"
             )
         self.backend = backend
         self.workers = os.cpu_count() or 1 if workers is None else workers

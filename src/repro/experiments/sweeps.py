@@ -21,6 +21,7 @@ from __future__ import annotations
 import inspect
 import random
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import summarize
@@ -30,6 +31,7 @@ from repro.experiments.parallel import (
     CellOutcome,
     CellSpec,
     ParallelSweepExecutor,
+    algorithm_factory,
 )
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import awake_distance
@@ -390,7 +392,18 @@ def sweep_cells(
     recorded in each spec — and hence the cache key — becomes
     ``"bulk"``).  The workload spec is resolved once up front (every
     factory is lazy), so a bad spec raises :class:`ReproError` here
-    instead of failing every cell."""
+    instead of failing every cell.  So does an unknown ``algorithm``
+    (registry name or ``module:attr``), an empty ``sizes`` or one that
+    is not an int >= 2, and ``trials < 1``."""
+    algorithm_factory(algorithm)
+    if len(sizes) == 0 or not all(
+        isinstance(n, Integral) and n >= 2 for n in sizes
+    ):
+        raise ReproError(
+            f"sizes must be a non-empty list of ints >= 2, got {sizes!r}"
+        )
+    if not isinstance(trials, Integral) or trials < 1:
+        raise ReproError(f"trials must be an int >= 1, got {trials!r}")
     build_workload(workload)
     engine = resolve_backend(engine, backend)
     return [

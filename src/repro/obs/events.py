@@ -42,19 +42,10 @@ Event kinds
 ``metrics_snapshot`` a :class:`repro.obs.metrics.MetricsRegistry`
                  snapshot (counters/gauges/histograms sections),
                  emitted at sweep end when metrics are enabled
-``job_queued``   a :mod:`repro.serve` job passed admission control
-``job_start``    ... and began executing on the job runner
-``job_end``      terminal: the job finished (status ``done`` /
-                 ``failed`` / ``timeout``)
-``job_rejected`` terminal: admission control refused the job
 ==============  ====================================================
 
 A cell reaches exactly one terminal event: ``cell_end`` (status
-``ok``/``failed``/``crashed``) or ``cell_timeout``.  A ``job_*``
-lifecycle (the :mod:`repro.serve` daemon's wire format) nests the cell
-lifecycle: ``job_queued`` → ``job_start`` → per-cell events →
-``job_end``; a stream may interleave many jobs, so the same cell key
-can legitimately start (and terminate) once per job that touches it.
+``ok``/``failed``/``crashed``) or ``cell_timeout``.
 """
 
 from __future__ import annotations
@@ -92,10 +83,6 @@ EVENT_KINDS: Dict[str, tuple] = {
     "shrink_stats": ("invariant", "tests", "from_len", "to_len",
                      "reduction"),
     "metrics_snapshot": ("counters", "gauges", "histograms"),
-    "job_queued": ("job", "job_kind", "queue_depth"),
-    "job_start": ("job", "job_kind"),
-    "job_end": ("job", "status", "duration"),
-    "job_rejected": ("job", "reason"),
 }
 
 #: Statuses a ``cell_end`` event may carry.

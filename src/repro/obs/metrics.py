@@ -171,19 +171,6 @@ CATALOG: Dict[str, Dict[str, Any]] = {
         "type": "counter",
         "help": "Atlas merge outcomes (labels: "
                 "outcome=new|improved|kept)."},
-    # -- repro.serve (the job daemon) ----------------------------------
-    "repro_serve_jobs_total": {
-        "type": "counter",
-        "help": "Serve jobs reaching a terminal state (labels: "
-                "status=done|failed|timeout|rejected|deduped)."},
-    "repro_serve_queue_depth": {
-        "type": "gauge",
-        "help": "Jobs admitted but not yet finished (queued + "
-                "running)."},
-    "repro_serve_job_seconds": {
-        "type": "histogram", "buckets": SECONDS_BUCKETS,
-        "help": "Job wall-clock latency, admission to terminal state "
-                "(nondeterministic)."},
 }
 
 _TIMING_SUFFIX = "_seconds"

@@ -36,7 +36,7 @@ check replays          ``engine`` + ``check``
 atlas entries          cell salts (+ ``check`` when controlled)
 =====================  =============================================
 
-The ``harness`` subsystem (executors, CLI, serve daemon, telemetry) is
+The ``harness`` subsystem (executors, CLI, telemetry) is
 deliberately in *no* cache key: orchestration code moves results
 around but never changes what a cell computes — the bit-identical-rows
 conformance suite is what enforces that claim.
@@ -77,11 +77,10 @@ SUBSYSTEMS: Dict[str, Tuple[str, ...]] = {
     # salts of what the incumbent actually runs (see
     # :func:`atlas_salt_vector`).
     "opt": ("repro.opt",),
-    # Orchestration: executors, CLI, serve daemon, observability,
-    # analysis, notebooks.  Never part of a cache key.
+    # Orchestration: executors, CLI, observability, analysis,
+    # notebooks.  Never part of a cache key.
     "harness": (
         "repro.experiments",
-        "repro.serve",
         "repro.obs",
         "repro.analysis",
         "repro.apps",

@@ -56,6 +56,22 @@ class TestCommands:
         assert code == 0
         assert "fast-wakeup" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            (["--trials", "0"], "trials"),
+            (["--cell-timeout", "0"], "cell_timeout"),
+        ],
+    )
+    def test_sweep_bad_spec_exits_2(self, capsys, bad, field):
+        code = main(["sweep", "flooding", "--sizes", "16", "--no-cache",
+                     "--workers", "0", "--progress", "off", *bad])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert field in captured.err
+        assert captured.out == ""
+
     def test_table1(self, capsys):
         code = main(["table1", "--n", "50", "--seed", "1"])
         assert code == 0

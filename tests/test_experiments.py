@@ -92,6 +92,44 @@ class TestBadWorkloadSpecs:
                 "flooding", {"kind": "er_single_wake", "degree": 4.0}, [16]
             )
 
+    WORKLOAD = {"kind": "er_single_wake", "avg_degree": 4.0}
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "nope",
+            "tests.test_experiments:NoSuchAlgo",
+            "no_such_module:Flooding",
+        ],
+    )
+    def test_unknown_algorithm_raises(self, name):
+        with pytest.raises(ReproError, match="unknown algorithm"):
+            sweep_cells(name, self.WORKLOAD, [16])
+        with pytest.raises(ReproError, match="unknown algorithm"):
+            parallel_sweep(name, self.WORKLOAD, [16])
+
+    @pytest.mark.parametrize("sizes", [[], [1], [16.5], [16, 1]])
+    def test_bad_sizes_raise(self, sizes):
+        with pytest.raises(ReproError, match="sizes"):
+            sweep_cells("flooding", self.WORKLOAD, sizes)
+        with pytest.raises(ReproError, match="sizes"):
+            parallel_sweep("flooding", self.WORKLOAD, sizes)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_bad_trials_raise(self, trials):
+        with pytest.raises(ReproError, match="trials"):
+            sweep_cells("flooding", self.WORKLOAD, [16], trials=trials)
+
+    def test_module_attr_name_builds_cells(self):
+        cells = sweep_cells(
+            "repro.core.flooding:Flooding", self.WORKLOAD, [16, 24],
+            trials=2,
+        )
+        assert [(c.algorithm, c.n, c.trial) for c in cells] == [
+            ("repro.core.flooding:Flooding", n, t)
+            for n in (16, 24) for t in range(2)
+        ]
+
 
 class TestTable1:
     @pytest.fixture(scope="class")

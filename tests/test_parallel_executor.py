@@ -26,6 +26,7 @@ import pytest
 
 from repro.core.base import WakeUpAlgorithm
 from repro.core.registry import get_algorithm
+from repro.errors import ReproError
 from repro.experiments.parallel import (
     CellSpec,
     ParallelSweepExecutor,
@@ -384,12 +385,19 @@ class TestFaultInjection:
         assert out[1].status == "timeout"
         assert "budget" in out[1].error
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_non_positive_cell_timeout_rejected(self, budget):
+        # A budget <= 0 used to turn every cell into a timeout.
+        with pytest.raises(ReproError, match="cell_timeout"):
+            ParallelSweepExecutor(
+                workers=0, use_cache=False, cell_timeout=budget
+            )
+
     def test_cell_timeout_enforced_off_main_thread(self):
         # Regression: the budget used to be armed with SIGALRM, gated on
         # threading.current_thread() is threading.main_thread() — so a
-        # cell_timeout passed from any worker thread (exactly what the
-        # serve daemon's job workers do) was silently never enforced and
-        # a hanging cell ran to its natural end.
+        # cell_timeout passed from any other thread was silently never
+        # enforced and a hanging cell ran to its natural end.
         box = {}
 
         def work():

@@ -2,10 +2,9 @@
 
 The guarantees under test:
 
-* **envelopes** — schema-1 (legacy) and schema-2 bench payloads both
-  load; schema-2 declares its profile, schema-1 falls back to field
-  inference (ambiguous between ``engine`` and ``bulk``, which must be
-  passed explicitly); mismatched declarations are errors;
+* **envelopes** — schema-2 bench payloads load under the profile they
+  declare; any other schema, and a caller profile that contradicts the
+  declaration, are errors;
 * **ledger** — ``record`` appends one entry per bench ingest,
   ``latest_per_profile`` returns append-order winners, and the file
   stays valid JSONL;
@@ -38,7 +37,6 @@ from repro.analysis.perf import (
     case_key,
     check,
     geomean,
-    infer_profile,
     latest_per_profile,
     load_bench,
     read_ledger,
@@ -71,7 +69,7 @@ def engine_payload(schema=2, rate=50_000.0, profile="engine"):
     return payload
 
 
-def topology_payload(schema=1, speedup=40.0):
+def topology_payload(schema=2, speedup=40.0):
     payload = {
         "schema": schema,
         "created": "2026-08-08T00:00:00",
@@ -102,32 +100,19 @@ class TestEnvelopes:
         assert profile == "engine"
         assert payload["schema"] == 2
 
-    def test_schema1_engine_is_ambiguous(self, tmp_path):
-        payload = engine_payload(schema=1)
-        assert infer_profile(payload) is None  # engine vs bulk
-        path = write(tmp_path, "b.json", payload)
-        with pytest.raises(PerfError, match="cannot infer"):
-            load_bench(path)
-        profile, _ = load_bench(path, "bulk")  # explicit wins
-        assert profile == "bulk"
-
-    def test_schema1_topology_is_inferable(self, tmp_path):
-        path = write(tmp_path, "t.json", topology_payload(schema=1))
-        profile, _ = load_bench(path)
-        assert profile == "topology"
-
     def test_declared_profile_mismatch_is_error(self, tmp_path):
         path = write(tmp_path, "b.json", engine_payload())
         with pytest.raises(PerfError, match="declares profile"):
             load_bench(path, "check")
 
     def test_unknown_schema_rejected(self, tmp_path):
-        payload = engine_payload()
-        payload["schema"] = 99
-        path = write(tmp_path, "b.json", payload)
-        with pytest.raises(PerfError, match="unsupported bench schema"):
-            load_bench(path)
-        assert 99 not in BENCH_SCHEMAS
+        for schema in (1, 99):
+            payload = engine_payload()
+            payload["schema"] = schema
+            path = write(tmp_path, "b.json", payload)
+            with pytest.raises(PerfError, match="unsupported bench schema"):
+                load_bench(path)
+            assert schema not in BENCH_SCHEMAS
 
     def test_missing_case_fields_rejected(self, tmp_path):
         payload = engine_payload()

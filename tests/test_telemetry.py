@@ -103,11 +103,6 @@ SAMPLE_FIELDS = {
             }
         },
     },
-    "job_queued": {"job": "j0123abcd", "job_kind": "sweep",
-                   "queue_depth": 3},
-    "job_start": {"job": "j0123abcd", "job_kind": "sweep"},
-    "job_end": {"job": "j0123abcd", "status": "done", "duration": 0.8},
-    "job_rejected": {"job": "j0123abcd", "reason": "queue full"},
 }
 
 
